@@ -1,4 +1,4 @@
-// The Kronecker descriptor viewed as a solvers::StepOperator.
+// The Kronecker descriptor viewed as a markov::StepOperator.
 //
 // By convention the wrapped descriptor stores P^T (one factor transpose per
 // component matrix: (A (x) B)^T = A^T (x) B^T), so apply() is the
@@ -9,11 +9,11 @@
 #pragma once
 
 #include "kronecker/descriptor.hpp"
-#include "solvers/operator_stationary.hpp"
+#include "markov/step_operator.hpp"
 
 namespace stocdr::kron {
 
-class KroneckerStepOperator final : public solvers::StepOperator {
+class KroneckerStepOperator final : public markov::StepOperator {
  public:
   /// `descriptor` must store the TRANSPOSED transition matrix P^T and
   /// outlive this operator.

@@ -41,6 +41,12 @@ std::vector<double> MarkovChain::uniform_distribution() const {
   return std::vector<double>(n, 1.0 / static_cast<double>(n));
 }
 
+std::vector<double> MarkovChain::diagonal() const {
+  std::vector<double> diag(num_states());
+  for (std::size_t i = 0; i < diag.size(); ++i) diag[i] = pt_.at(i, i);
+  return diag;
+}
+
 double MarkovChain::stochasticity_defect() const {
   // Column sums of P^T are the per-source outgoing probability masses.
   const auto sums = pt_.col_sums();

@@ -10,6 +10,7 @@
 #include <span>
 #include <vector>
 
+#include "markov/step_operator.hpp"
 #include "sparse/csr.hpp"
 
 namespace stocdr::markov {
@@ -20,8 +21,9 @@ enum class Validation {
   kNone,     ///< trust the caller (used for sub-stochastic restricted chains)
 };
 
-/// A finite discrete-time Markov chain.
-class MarkovChain {
+/// A finite discrete-time Markov chain; its StepOperator view runs over the
+/// stored P^T.
+class MarkovChain final : public StepOperator {
  public:
   /// Constructs from P^T (rows are destination states).
   /// With Validation::kStrict, verifies every entry is in [0, 1+eps] and the
@@ -36,6 +38,7 @@ class MarkovChain {
 
   /// Number of states.
   [[nodiscard]] std::size_t num_states() const { return pt_.rows(); }
+  [[nodiscard]] std::size_t size() const override { return pt_.rows(); }
 
   /// Number of stored transitions.
   [[nodiscard]] std::size_t num_transitions() const { return pt_.nnz(); }
@@ -49,14 +52,18 @@ class MarkovChain {
   }
 
   /// One distribution step: y = P^T x.
-  void step(std::span<const double> x, std::span<double> y) const {
+  void step(std::span<const double> x, std::span<double> y) const override {
     pt_.multiply(x, y);
   }
 
   /// One backward step: y = P x (used by expectation recursions).
-  void step_backward(std::span<const double> x, std::span<double> y) const {
+  void step_backward(std::span<const double> x,
+                     std::span<double> y) const override {
     pt_.multiply_transpose(x, y);
   }
+
+  /// diag(P) = diag(P^T), one entry lookup per row.
+  [[nodiscard]] std::vector<double> diagonal() const override;
 
   /// Transition probability p(src -> dst).
   [[nodiscard]] double probability(std::size_t src, std::size_t dst) const {
@@ -66,8 +73,9 @@ class MarkovChain {
   /// Uniform distribution over all states.
   [[nodiscard]] std::vector<double> uniform_distribution() const;
 
-  /// Maximum deviation of any state's outgoing probability mass from 1.
-  [[nodiscard]] double stochasticity_defect() const;
+  /// Maximum deviation of any state's outgoing probability mass from 1
+  /// (column sums of the stored P^T).
+  [[nodiscard]] double stochasticity_defect() const override;
 
   /// Heap bytes held by the stored P^T arrays (see
   /// CsrMatrix::footprint_bytes).

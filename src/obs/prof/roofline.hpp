@@ -1,7 +1,7 @@
 // Bytes-moved cost models and per-kernel roofline attribution.
 //
-// Each hot kernel (CSR SpMV, transpose SpMV, Jacobi sweep, power-iteration
-// update, multilevel aggregate/disaggregate) declares an analytic model of
+// Each hot kernel (CSR SpMV, transpose SpMV, the power and Jacobi iterate
+// updates, multilevel aggregate/disaggregate) declares an analytic model of
 // the memory traffic and flops one call performs.  A profiled run records
 // model bytes, model flops, and measured wall seconds per kernel, from
 // which the roofline report derives arithmetic intensity (flops/byte) and
@@ -11,9 +11,8 @@
 // The models count compulsory traffic only (every value, index, and vector
 // element touched exactly once); caches can do better on the vectors, so
 // achieved_gbps is a lower bound on true bus traffic and an upper bound on
-// effective bandwidth.  Kernel attribution scopes overlap span timings (a
-// Jacobi sweep runs inside a solve span) — rows are independent, not
-// summable.
+// effective bandwidth.  Kernel attribution scopes overlap span timings (an
+// SpMV runs inside a solve span) — rows are independent, not summable.
 #pragma once
 
 #include <cstdint>
@@ -37,18 +36,7 @@ namespace stocdr::obs::prof {
   return 2 * nnz;
 }
 
-/// Jacobi sweep x' = (b - R x) / d over `rows` rows with `nnz` off-diagonal
-/// entries: CSR traffic plus the diagonal, b, x, and x' vectors.
-[[nodiscard]] constexpr std::uint64_t jacobi_bytes(std::uint64_t rows,
-                                                   std::uint64_t nnz) {
-  return nnz * (8 + 4) + (rows + 1) * 4 + 4 * rows * 8;
-}
-[[nodiscard]] constexpr std::uint64_t jacobi_flops(std::uint64_t rows,
-                                                   std::uint64_t nnz) {
-  return 2 * nnz + 2 * rows;
-}
-
-/// Power-iteration vector update (blend + renormalize): read next and
+/// Power or Jacobi iterate update (blend + renormalize): read next and
 /// previous iterates, write the blended iterate, one reduction pass.
 [[nodiscard]] constexpr std::uint64_t power_update_bytes(std::uint64_t n) {
   return 4 * n * 8;

@@ -15,7 +15,6 @@
 #include "parallel/pool.hpp"
 #include "robust/checkpoint/checkpoint.hpp"
 #include "solvers/linear.hpp"
-#include "solvers/operator_stationary.hpp"
 #include "solvers/stationary.hpp"
 #include "sparse/coo.hpp"
 #include "support/error.hpp"
@@ -133,86 +132,7 @@ void dump_flight_recording(const std::string& configured,
 /// singular eigenproblem into a plain linear system GMRES can attack.
 class StationaryShiftOperator final : public solvers::LinearOperator {
  public:
-  explicit StationaryShiftOperator(const markov::MarkovChain& chain)
-      : chain_(&chain), scratch_(chain.num_states()) {}
-
-  [[nodiscard]] std::size_t size() const override {
-    return chain_->num_states();
-  }
-
-  void apply(std::span<const double> x, std::span<double> y) const override {
-    chain_->step(x, scratch_);  // P^T x
-    const double mean =
-        kahan_sum(x) / static_cast<double>(chain_->num_states());
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      y[i] = x[i] - scratch_[i] + mean;
-    }
-  }
-
- private:
-  const markov::MarkovChain* chain_;
-  mutable std::vector<double> scratch_;
-};
-
-/// GMRES rung: solve B (x0 + d) = e/n as B d = e/n - B x0 so the rung
-/// warm-starts from the ladder's checkpoint, then clamp/normalize the
-/// update back onto the probability simplex.
-solvers::StationaryResult run_gmres_rung(const markov::MarkovChain& chain,
-                                         const RungSpec& spec,
-                                         double tolerance,
-                                         SolveSentinel& sentinel,
-                                         std::span<const double> x0) {
-  const Timer timer;
-  const std::size_t n = chain.num_states();
-  solvers::StationaryResult out;
-  out.stats.method = "gmres-stationary";
-
-  const StationaryShiftOperator op(chain);
-  std::vector<double> rhs(n, 1.0 / static_cast<double>(n));
-  std::vector<double> bx0(n);
-  op.apply(x0, bx0);
-  for (std::size_t i = 0; i < n; ++i) rhs[i] -= bx0[i];
-
-  solvers::SolverOptions lopts;
-  lopts.tolerance = tolerance;
-  lopts.max_iterations = spec.max_iterations;
-  const obs::ProgressObserver observer(sentinel);
-  lopts.progress = observer;
-  solvers::LinearResult lin = solvers::gmres(op, rhs, lopts);
-
-  out.stats.iterations = lin.stats.iterations;
-  out.stats.matvec_count = lin.stats.matvec_count;
-  out.stats.residual_history = std::move(lin.stats.residual_history);
-
-  std::vector<double> x(x0.begin(), x0.end());
-  bool finite = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] += lin.solution[i];
-    if (!std::isfinite(x[i])) finite = false;
-    if (x[i] < 0.0) x[i] = 0.0;
-  }
-  const double mass = finite ? kahan_sum(x) : 0.0;
-  if (!finite || !(mass > 0.0)) {
-    out.stats.residual = std::numeric_limits<double>::infinity();
-    out.distribution = std::move(x);
-    out.stats.seconds = timer.seconds();
-    return out;
-  }
-  for (double& v : x) v /= mass;
-  out.stats.residual = solvers::stationary_residual(chain, x);
-  // Convergence is judged on the harness metric (L1 stationary residual),
-  // not GMRES's relative 2-norm; a near-miss escalates warm-started.
-  out.stats.converged = out.stats.residual < tolerance;
-  out.distribution = std::move(x);
-  out.stats.seconds = timer.seconds();
-  return out;
-}
-
-/// The deflated stationary operator B = I - P^T + (1/n) e e^T over an
-/// abstract StepOperator — the matrix-free twin of StationaryShiftOperator.
-class OperatorShiftOperator final : public solvers::LinearOperator {
- public:
-  explicit OperatorShiftOperator(const solvers::StepOperator& op)
+  explicit StationaryShiftOperator(const markov::StepOperator& op)
       : op_(&op), scratch_(op.size()) {}
 
   [[nodiscard]] std::size_t size() const override { return op_->size(); }
@@ -226,23 +146,26 @@ class OperatorShiftOperator final : public solvers::LinearOperator {
   }
 
  private:
-  const solvers::StepOperator* op_;
+  const markov::StepOperator* op_;
   mutable std::vector<double> scratch_;
 };
 
-/// Matrix-free GMRES rung; identical to run_gmres_rung except that the
-/// shifted system applies through the StepOperator and the Krylov restart
-/// is budget-sized by the caller.
-solvers::StationaryResult run_operator_gmres_rung(
-    const solvers::StepOperator& sop, const RungSpec& spec, double tolerance,
-    SolveSentinel& sentinel, std::span<const double> x0,
-    std::size_t restart) {
+/// GMRES rung: solve B (x0 + d) = e/n as B d = e/n - B x0 so the rung
+/// warm-starts from the ladder's checkpoint, then clamp/normalize the
+/// update back onto the probability simplex.  `restart` is the Krylov
+/// dimension the memory budget admits.
+solvers::StationaryResult run_gmres_rung(const markov::StepOperator& step,
+                                         const RungSpec& spec,
+                                         double tolerance,
+                                         SolveSentinel& sentinel,
+                                         std::span<const double> x0,
+                                         std::size_t restart) {
   const Timer timer;
-  const std::size_t n = sop.size();
+  const std::size_t n = step.size();
   solvers::StationaryResult out;
   out.stats.method = "gmres-stationary";
 
-  const OperatorShiftOperator op(sop);
+  const StationaryShiftOperator op(step);
   std::vector<double> rhs(n, 1.0 / static_cast<double>(n));
   std::vector<double> bx0(n);
   op.apply(x0, bx0);
@@ -274,46 +197,93 @@ solvers::StationaryResult run_operator_gmres_rung(
     return out;
   }
   for (double& v : x) v /= mass;
-  out.stats.residual = solvers::stationary_residual(sop, x);
+  out.stats.residual = solvers::stationary_residual(step, x);
+  // Convergence is judged on the harness metric (L1 stationary residual),
+  // not GMRES's relative 2-norm; a near-miss escalates warm-started.
   out.stats.converged = out.stats.residual < tolerance;
   out.distribution = std::move(x);
   out.stats.seconds = timer.seconds();
   return out;
 }
 
-std::vector<double> make_operator_initial(std::size_t n,
-                                          std::span<const double> initial) {
-  if (initial.empty()) {
-    return std::vector<double>(n, 1.0 / static_cast<double>(n));
+/// The GMRES rung's Krylov dimension when no memory budget constrains it
+/// (solvers::gmres's own default).
+constexpr std::size_t kGmresRestart = 80;
+
+/// The one restart-sizing rule of the GMRES rung, on either
+/// representation: halve the restart (80 -> 40 -> 20 -> 10) while
+/// `peak(m)` — the priced solve phase plus the rung's m + 4 basis and
+/// temporary vectors — exceeds the budget, and return 0 (rung skipped, never
+/// the solve refused) once even m = 10 does not fit.
+template <typename PeakFn>
+std::size_t fit_gmres_restart(std::size_t budget, const PeakFn& peak) {
+  std::size_t restart = kGmresRestart;
+  if (budget == 0) return restart;
+  while (restart > 0 && peak(restart) > budget) {
+    restart = restart >= 20 ? restart / 2 : 0;
   }
-  STOCDR_REQUIRE(initial.size() == n,
-                 "robust: initial guess size must match the operator");
-  std::vector<double> x(initial.begin(), initial.end());
-  for (double& v : x) v = std::max(v, 0.0);
-  normalize_l1(x);
-  return x;
+  return restart;
 }
 
-/// The matrix-free ladder loop.  Mirrors RobustSolver::run_ladder rung for
-/// rung (sentinels, warm starts, durable persists, flight dumps, failure
-/// classification) but dispatches only to operator-capable methods; the
-/// explicit-matrix rungs report kSkipped so a caller handing the default
-/// explicit ladder to an operator sees *why* the ladder thinned out.
-std::vector<double> run_operator_ladder(const solvers::StepOperator& op,
-                                        const RobustOptions& options,
-                                        std::span<const double> initial,
-                                        const Timer& clock,
-                                        std::size_t gmres_restart,
-                                        RobustSolveReport& report) {
-  const std::size_t n = op.size();
-  std::vector<double> best = make_operator_initial(n, initial);
-  double best_residual = solvers::stationary_residual(op, best);
+/// What one ladder run iterates on.  `op` is always present; `chain` (with
+/// its hierarchy) only when the transition matrix is materialized — on the
+/// explicit path `op` is the chain itself.  Rungs that need rows
+/// (multilevel, SOR, GTH) are skipped by capability when it is null.
+struct LadderInput {
+  const markov::StepOperator& op;
+  const markov::MarkovChain* chain;
+  const std::vector<markov::Partition>* hierarchy;
+  std::size_t gmres_restart;
+};
+
+/// Why `kind` cannot run on `in` ("" when it can).  A skip is reported as
+/// kSkipped with this detail, never silently dropped.
+std::string skip_reason(RungKind kind, const LadderInput& in,
+                        const RobustOptions& options) {
+  if (kind == RungKind::kGmresStationary && in.gmres_restart == 0) {
+    return "Krylov basis cannot fit the memory budget";
+  }
+  if (in.chain == nullptr) {
+    switch (kind) {
+      case RungKind::kMultilevel:
+        return "no explicit matrix: multilevel aggregation needs CSR rows; "
+               "power-family rungs cover the fallback";
+      case RungKind::kSor:
+        return "no explicit matrix: SOR's in-place sweep needs row access";
+      case RungKind::kGthDirect:
+        return "no explicit matrix: dense GTH needs materialized rows";
+      default: return "";
+    }
+  }
+  const std::size_t n = in.chain->num_states();
+  if (kind == RungKind::kGthDirect && n > options.gth_size_limit) {
+    return std::to_string(n) + " states exceed the dense-GTH limit " +
+           std::to_string(options.gth_size_limit);
+  }
+  return "";
+}
+
+/// The ladder loop: tries `options.ladder` (or `default_rungs` when empty)
+/// in order, each rung warm-started from the best vector its predecessors
+/// reached and watched by a fresh sentinel, until one converges, the
+/// deadline passes, or the ladder runs out.  Appends to `report`.
+std::vector<double> run_ladder(const LadderInput& in,
+                               const RobustOptions& options,
+                               std::vector<RungSpec> default_rungs,
+                               std::span<const double> initial,
+                               const Timer& clock, RobustSolveReport& report) {
+  const std::size_t n = in.op.size();
+  std::vector<double> best = solvers::detail::make_initial(in.op, initial);
+  double best_residual = solvers::stationary_residual(in.op, best);
   bool warm = false;
   std::string predecessor;
 
-  std::vector<RungSpec> ladder = options.ladder;
-  if (ladder.empty()) ladder = default_matrix_free_ladder();
+  const std::vector<RungSpec> ladder =
+      options.ladder.empty() ? std::move(default_rungs) : options.ladder;
 
+  // Durable-checkpoint sink: persists sentinel snapshots so a killed
+  // process restarts warm.  A failed persist is counted and logged but
+  // never takes down the solve it exists to protect.
   const bool durable = !options.checkpoint_path.empty();
   auto persist_sink = [&](std::uint64_t iteration, double res,
                           const std::vector<double>& iterate) {
@@ -347,6 +317,7 @@ std::vector<double> run_operator_ladder(const solvers::StepOperator& op,
     rung.initial_residual = best_residual;
     rung.warm_started = warm;
 
+    // Global deadline gate between rungs (sentinels cover the inside).
     if (clock.seconds() > options.time_budget_seconds) {
       rung.failure = FailureCause::kDeadlineExceeded;
       rung.detail = "budget exhausted before the rung started";
@@ -354,31 +325,10 @@ std::vector<double> run_operator_ladder(const solvers::StepOperator& op,
       report.rungs.push_back(std::move(rung));
       break;
     }
-
-    // Rungs that need a materialized matrix cannot run here; the skip is
-    // reported (with the predecessor preserved) rather than silent.
-    const char* skip_reason = nullptr;
-    switch (spec.kind) {
-      case RungKind::kMultilevel:
-        skip_reason =
-            "no explicit matrix: multilevel aggregation needs CSR rows; "
-            "power-family rungs cover the fallback";
-        break;
-      case RungKind::kSor:
-        skip_reason = "no explicit matrix: SOR's in-place sweep needs row "
-                      "access";
-        break;
-      case RungKind::kGthDirect:
-        skip_reason = "no explicit matrix: dense GTH needs materialized rows";
-        break;
-      default: break;
-    }
-    if (spec.kind == RungKind::kGmresStationary && gmres_restart == 0) {
-      skip_reason = "Krylov basis cannot fit the memory budget";
-    }
-    if (skip_reason != nullptr) {
+    std::string skip = skip_reason(spec.kind, in, options);
+    if (!skip.empty()) {
       rung.failure = FailureCause::kSkipped;
-      rung.detail = skip_reason;
+      rung.detail = std::move(skip);
       report.rungs.push_back(std::move(rung));
       continue;  // predecessor stays: the *real* failure above this rung
     }
@@ -392,6 +342,8 @@ std::vector<double> run_operator_ladder(const solvers::StepOperator& op,
     sopt.clock = &clock;
     sopt.fault_injector = options.fault_injector;
     sopt.forward = options.progress;
+    // A GMRES progress iterate is the correction of the shifted system, not
+    // a distribution — never checkpoint it.
     sopt.take_checkpoints = spec.kind != RungKind::kGmresStationary;
     if (durable && sopt.take_checkpoints) {
       sopt.persist = CheckpointSink(persist_sink);
@@ -407,33 +359,43 @@ std::vector<double> run_operator_ladder(const solvers::StepOperator& op,
       span.attr("warm_started", rung.warm_started);
     }
 
+    // SOR / Jacobi / power options; multilevel and GMRES build their own.
+    solvers::SolverOptions o;
+    o.tolerance = options.tolerance;
+    o.max_iterations = spec.max_iterations;
+    o.relaxation = spec.relaxation;
+    o.progress = observer;
     solvers::StationaryResult result;
     bool threw = false;
     try {
       switch (spec.kind) {
+        case RungKind::kMultilevel: {
+          solvers::MultilevelOptions mopts = options.multilevel;
+          mopts.tolerance = options.tolerance;
+          mopts.max_cycles = spec.max_iterations;
+          mopts.progress = observer;
+          result = solvers::solve_stationary_multilevel(
+              *in.chain, *in.hierarchy, mopts, best);
+          break;
+        }
         case RungKind::kGmresStationary:
-          result = run_operator_gmres_rung(op, spec, options.tolerance,
-                                           sentinel, best, gmres_restart);
+          result = run_gmres_rung(in.op, spec, options.tolerance, sentinel,
+                                  best, in.gmres_restart);
           break;
-        case RungKind::kJacobi: {
-          solvers::SolverOptions o;
-          o.tolerance = options.tolerance;
-          o.max_iterations = spec.max_iterations;
-          o.relaxation = spec.relaxation;
-          o.progress = observer;
-          result = solvers::solve_stationary_jacobi(op, o, best);
+        case RungKind::kSor:
+          result = solvers::solve_stationary_sor(*in.chain, o, best);
           break;
-        }
-        case RungKind::kPower: {
-          solvers::SolverOptions o;
-          o.tolerance = options.tolerance;
-          o.max_iterations = spec.max_iterations;
-          o.relaxation = spec.relaxation;
-          o.progress = observer;
-          result = solvers::solve_stationary_power(op, o, best);
+        case RungKind::kJacobi:
+          result = solvers::solve_stationary_jacobi(in.op, o, best);
           break;
-        }
-        default: break;  // unreachable: skipped above
+        case RungKind::kPower:
+          result = solvers::solve_stationary_power(in.op, o, best);
+          break;
+        case RungKind::kGthDirect:
+          result = solvers::solve_stationary_direct(*in.chain);
+          // GTH is direct and subtraction-free: any finite answer is final.
+          result.stats.converged = std::isfinite(result.stats.residual);
+          break;
       }
     } catch (const Error& e) {
       threw = true;
@@ -469,6 +431,8 @@ std::vector<double> run_operator_ladder(const solvers::StepOperator& op,
       break;
     }
 
+    // Classify the failure: the sentinel's verdict wins (it saw the fault
+    // live), then non-finite residuals, then the iteration budget.
     if (!threw) {
       if (sentinel.verdict() != FailureCause::kNone) {
         rung.failure = sentinel.verdict();
@@ -501,6 +465,9 @@ std::vector<double> run_operator_ladder(const solvers::StepOperator& op,
       span.attr("residual", result.stats.residual);
     }
 
+    // Checkpoint/restart: the next rung starts from the best vector any
+    // predecessor reached — the sentinel's snapshot or the rung's final
+    // iterate, whichever is better — never from scratch.
     if (sentinel.checkpoint_residual() < best_residual) {
       best = sentinel.checkpoint();
       best_residual = sentinel.checkpoint_residual();
@@ -521,11 +488,96 @@ std::vector<double> run_operator_ladder(const solvers::StepOperator& op,
     report.rungs.push_back(std::move(rung));
     if (deadline) {
       report.deadline_exceeded = true;
-      break;
+      break;  // the budget is global: no rung below can run either
     }
   }
   report.residual = best_residual;
   return best;
+}
+
+/// The admission gate's refusal: the report says why, no solver allocation
+/// happened, and the distribution stays empty — never an OOM mid-ladder.
+RobustResult refuse_admission(RobustResult out, const Timer& clock,
+                              obs::Span& span) {
+  out.report.admission_refused = true;
+  admission_reject_counter().add(1);
+  obs::evt::emit("admission.refuse", obs::evt::Severity::kWarning,
+                 {{"predicted_peak_bytes", out.report.predicted_peak_bytes},
+                  {"memory_budget_bytes", out.report.memory_budget_bytes}});
+  out.report.seconds = clock.seconds();
+  if (span.active()) {
+    span.attr("admission_refused", true);
+    span.attr("predicted_peak_bytes", out.report.predicted_peak_bytes);
+    span.attr("memory_budget_bytes", out.report.memory_budget_bytes);
+  }
+  return out;
+}
+
+/// Durable-checkpoint restore: warm-start from the newest on-disk
+/// generation that validates for this configuration.  Every rejected
+/// generation is counted, noted on the trace, and degraded past — a bad
+/// checkpoint costs warmth, never correctness.  Returns the vector the
+/// ladder starts from: the caller's `initial` when given (or when nothing
+/// restores), otherwise the restored iterate, parked in `restored`.
+std::span<const double> restore_checkpoint(const RobustOptions& options,
+                                           std::size_t n,
+                                           std::span<const double> initial,
+                                           std::vector<double>& restored,
+                                           RobustSolveReport& report) {
+  if (options.checkpoint_path.empty()) return initial;
+  ckpt::RestoreScan scan =
+      ckpt::load_latest(options.checkpoint_path, options.checkpoint_keep,
+                        options.checkpoint_config_hash, n);
+  report.checkpoint_rejects = scan.rejected;
+  if (scan.rejected > 0) {
+    checkpoint_reject_counter().add(scan.rejected);
+    obs::evt::emit("checkpoint.reject", obs::evt::Severity::kWarning,
+                   {{"rejected", std::uint64_t{scan.rejected}},
+                    {"detail", scan.reject_details.front()}});
+    obs::Span note("robust.checkpoint_reject");
+    if (note.active()) {
+      note.attr("rejected", scan.rejected);
+      note.attr("detail", std::string_view(scan.reject_details.front()));
+    }
+    for (const std::string& line : scan.reject_details) {
+      std::fprintf(stderr, "stocdr: checkpoint rejected: %s\n", line.c_str());
+    }
+  }
+  if (scan.best.status != ckpt::LoadStatus::kOk || !initial.empty()) {
+    return initial;
+  }
+  report.checkpoint_restored = true;
+  report.checkpoint_restore_path = scan.restored_path;
+  report.checkpoint_restore_iteration = scan.best.checkpoint.iteration;
+  report.checkpoint_restore_residual = scan.best.checkpoint.residual;
+  checkpoint_restore_counter().add(1);
+  obs::evt::emit("checkpoint.restore", obs::evt::Severity::kInfo,
+                 {{"iteration", std::uint64_t{scan.best.checkpoint.iteration}},
+                  {"residual", scan.best.checkpoint.residual}});
+  restored = std::move(scan.best.checkpoint.iterate);
+  return restored;
+}
+
+/// The solve epilogue: wall time, the deadline metric, the span summary.
+RobustResult finish_solve(RobustResult out, const Timer& clock,
+                          obs::Span& span) {
+  out.report.seconds = clock.seconds();
+  if (out.report.deadline_exceeded) {
+    deadline_counter().add(1);
+    obs::evt::emit("deadline.exceeded", obs::evt::Severity::kWarning,
+                   {{"seconds", out.report.seconds}});
+  }
+  if (span.active()) {
+    span.attr("converged", out.report.converged);
+    span.attr("residual", out.report.residual);
+    span.attr("rungs", out.report.rungs.size());
+    span.attr("deadline_exceeded", out.report.deadline_exceeded);
+    span.attr("degraded", out.report.degraded);
+    span.attr("degraded_for_memory", out.report.degraded_for_memory);
+    span.attr("checkpoint_restored", out.report.checkpoint_restored);
+    span.attr("method", std::string_view(out.report.final_method));
+  }
+  return out;
 }
 
 }  // namespace
@@ -604,252 +656,10 @@ RobustSolver::RobustSolver(const markov::MarkovChain& chain,
   }
 }
 
-std::vector<double> RobustSolver::run_ladder(
-    const markov::MarkovChain& chain,
-    const std::vector<markov::Partition>& hierarchy,
+std::vector<double> RobustSolver::run_degraded(
+    std::size_t max_states, std::size_t gmres_restart,
     std::span<const double> initial, const Timer& clock,
     RobustSolveReport& report) const {
-  const std::size_t n = chain.num_states();
-  std::vector<double> best = solvers::detail::make_initial(chain, initial);
-  double best_residual = solvers::stationary_residual(chain, best);
-  bool warm = false;
-  std::string predecessor;
-
-  std::vector<RungSpec> ladder = options_.ladder;
-  if (ladder.empty()) ladder = default_ladder();
-
-  // Durable-checkpoint sink: persists sentinel snapshots so a killed
-  // process restarts warm.  A failed persist is counted and logged but
-  // never takes down the solve it exists to protect.
-  const bool durable = !options_.checkpoint_path.empty();
-  auto persist_sink = [&](std::uint64_t iteration, double res,
-                          const std::vector<double>& iterate) {
-    ckpt::Checkpoint snapshot;
-    snapshot.config_hash = options_.checkpoint_config_hash;
-    snapshot.iteration = iteration;
-    snapshot.residual = res;
-    snapshot.iterate = iterate;
-    try {
-      ckpt::write_checkpoint(options_.checkpoint_path, snapshot,
-                             options_.checkpoint_keep);
-      ++report.durable_checkpoints;
-      durable_checkpoint_counter().add(1);
-      obs::evt::emit("checkpoint.write", obs::evt::Severity::kInfo,
-                     {{"iteration", iteration}, {"residual", res}});
-    } catch (const Error& e) {
-      ++report.checkpoint_write_failures;
-      checkpoint_write_failure_counter().add(1);
-      obs::evt::emit("checkpoint.write_failure", obs::evt::Severity::kWarning,
-                     {{"error", std::string(e.what())}});
-      std::fprintf(stderr, "stocdr: durable checkpoint write failed: %s\n",
-                   e.what());
-    }
-  };
-
-  for (std::size_t r = 0; r < ladder.size(); ++r) {
-    const RungSpec& spec = ladder[r];
-    RungReport rung;
-    rung.method = to_string(spec.kind);
-    rung.predecessor_failure = predecessor;
-    rung.initial_residual = best_residual;
-    rung.warm_started = warm;
-
-    // Global deadline gate between rungs (sentinels cover the inside).
-    if (clock.seconds() > options_.time_budget_seconds) {
-      rung.failure = FailureCause::kDeadlineExceeded;
-      rung.detail = "budget exhausted before the rung started";
-      report.deadline_exceeded = true;
-      report.rungs.push_back(std::move(rung));
-      break;
-    }
-    if (spec.kind == RungKind::kGthDirect && n > options_.gth_size_limit) {
-      rung.failure = FailureCause::kSkipped;
-      rung.detail = std::to_string(n) + " states exceed the dense-GTH limit " +
-                    std::to_string(options_.gth_size_limit);
-      report.rungs.push_back(std::move(rung));
-      continue;  // predecessor stays: the *real* failure above this rung
-    }
-
-    SolveSentinel::Options sopt;
-    sopt.stride = options_.sentinel_stride;
-    sopt.divergence_factor = options_.divergence_factor;
-    sopt.stall_factor = options_.stall_factor;
-    sopt.stall_window = options_.stall_window;
-    sopt.deadline_seconds = options_.time_budget_seconds;
-    sopt.clock = &clock;
-    sopt.fault_injector = options_.fault_injector;
-    sopt.forward = options_.progress;
-    // A GMRES progress iterate is the correction of the shifted system, not
-    // a distribution — never checkpoint it.
-    sopt.take_checkpoints = spec.kind != RungKind::kGmresStationary;
-    if (durable && sopt.take_checkpoints) {
-      sopt.persist = CheckpointSink(persist_sink);
-      sopt.persist_period = options_.checkpoint_period;
-    }
-    SolveSentinel sentinel(sopt);
-    const obs::ProgressObserver observer(sentinel);
-
-    obs::Span span("robust.rung");
-    if (span.active()) {
-      span.attr("kind", std::string_view(to_string(spec.kind)));
-      span.attr("rung", r);
-      span.attr("warm_started", rung.warm_started);
-    }
-
-    solvers::StationaryResult result;
-    bool threw = false;
-    try {
-      switch (spec.kind) {
-        case RungKind::kMultilevel: {
-          solvers::MultilevelOptions mopts = options_.multilevel;
-          mopts.tolerance = options_.tolerance;
-          mopts.max_cycles = spec.max_iterations;
-          mopts.progress = observer;
-          result =
-              solvers::solve_stationary_multilevel(chain, hierarchy, mopts,
-                                                   best);
-          break;
-        }
-        case RungKind::kGmresStationary:
-          result = run_gmres_rung(chain, spec, options_.tolerance, sentinel,
-                                  best);
-          break;
-        case RungKind::kSor: {
-          solvers::SolverOptions o;
-          o.tolerance = options_.tolerance;
-          o.max_iterations = spec.max_iterations;
-          o.relaxation = spec.relaxation;
-          o.progress = observer;
-          result = solvers::solve_stationary_sor(chain, o, best);
-          break;
-        }
-        case RungKind::kJacobi: {
-          solvers::SolverOptions o;
-          o.tolerance = options_.tolerance;
-          o.max_iterations = spec.max_iterations;
-          o.relaxation = spec.relaxation;
-          o.progress = observer;
-          const solvers::ChainStepOperator op(chain);
-          result = solvers::solve_stationary_jacobi(op, o, best);
-          break;
-        }
-        case RungKind::kPower: {
-          solvers::SolverOptions o;
-          o.tolerance = options_.tolerance;
-          o.max_iterations = spec.max_iterations;
-          o.relaxation = spec.relaxation;
-          o.progress = observer;
-          result = solvers::solve_stationary_power(chain, o, best);
-          break;
-        }
-        case RungKind::kGthDirect:
-          result = solvers::solve_stationary_direct(chain);
-          // GTH is direct and subtraction-free: any finite answer is final.
-          result.stats.converged = std::isfinite(result.stats.residual);
-          break;
-      }
-    } catch (const Error& e) {
-      threw = true;
-      rung.failure = FailureCause::kError;
-      rung.detail = e.what();
-      result.stats.method = to_string(spec.kind);
-      result.stats.converged = false;
-    }
-
-    if (!result.stats.method.empty()) rung.method = result.stats.method;
-    rung.stats = result.stats;
-    rung.checkpoints = sentinel.checkpoints_taken();
-    report.checkpoints_taken += sentinel.checkpoints_taken();
-
-    const bool success = !threw && result.stats.converged &&
-                         std::isfinite(result.stats.residual);
-    if (success) {
-      rung.failure = FailureCause::kNone;
-      report.converged = true;
-      report.final_method = rung.method;
-      obs::evt::emit("rung.success", obs::evt::Severity::kInfo,
-                     {{"method", rung.method},
-                      {"residual", result.stats.residual},
-                      {"iterations",
-                       std::uint64_t{result.stats.iterations}}});
-      best = std::move(result.distribution);
-      best_residual = result.stats.residual;
-      if (span.active()) {
-        span.attr("outcome", std::string_view("converged"));
-        span.attr("residual", best_residual);
-      }
-      report.rungs.push_back(std::move(rung));
-      break;
-    }
-
-    // Classify the failure: the sentinel's verdict wins (it saw the fault
-    // live), then non-finite residuals, then the iteration budget.
-    if (!threw) {
-      if (sentinel.verdict() != FailureCause::kNone) {
-        rung.failure = sentinel.verdict();
-        rung.detail = sentinel.verdict_detail();
-      } else if (!result.stats.breakdown.empty()) {
-        rung.failure = FailureCause::kBreakdown;
-        rung.detail = result.stats.breakdown;
-      } else if (!std::isfinite(result.stats.residual)) {
-        rung.failure = FailureCause::kNumericalFault;
-        rung.detail = "solver reported a non-finite residual";
-      } else {
-        rung.failure = FailureCause::kIterationBudget;
-        rung.detail = "no convergence within " +
-                      std::to_string(spec.max_iterations) + " iterations";
-      }
-    }
-    rung_failure_counter().add(1);
-    obs::evt::emit("rung.failure", obs::evt::Severity::kWarning,
-                   {{"method", rung.method},
-                    {"cause", std::string(to_string(rung.failure))},
-                    {"detail", rung.detail},
-                    {"residual", result.stats.residual}});
-    if (rung.failure == FailureCause::kDiverged ||
-        rung.failure == FailureCause::kStalled ||
-        rung.failure == FailureCause::kNumericalFault) {
-      dump_flight_recording(options_.flight_dump_path, report);
-    }
-    if (span.active()) {
-      span.attr("outcome", std::string_view(to_string(rung.failure)));
-      span.attr("residual", result.stats.residual);
-    }
-
-    // Checkpoint/restart: the next rung starts from the best vector any
-    // predecessor reached — the sentinel's snapshot or the rung's final
-    // iterate, whichever is better — never from scratch.
-    if (sentinel.checkpoint_residual() < best_residual) {
-      best = sentinel.checkpoint();
-      best_residual = sentinel.checkpoint_residual();
-      warm = true;
-      report.final_method = rung.method;
-    }
-    if (!threw && std::isfinite(result.stats.residual) &&
-        result.stats.residual < best_residual &&
-        result.distribution.size() == n) {
-      best = std::move(result.distribution);
-      best_residual = result.stats.residual;
-      warm = true;
-      report.final_method = rung.method;
-    }
-
-    const bool deadline = rung.failure == FailureCause::kDeadlineExceeded;
-    predecessor = to_string(rung.failure);
-    report.rungs.push_back(std::move(rung));
-    if (deadline) {
-      report.deadline_exceeded = true;
-      break;  // the budget is global: no rung below can run either
-    }
-  }
-  report.residual = best_residual;
-  return best;
-}
-
-std::vector<double> RobustSolver::run_degraded(std::size_t max_states,
-                                               std::span<const double> initial,
-                                               const Timer& clock,
-                                               RobustSolveReport& report) const {
   const markov::MarkovChain& fine = chain();
   if (!initial.empty()) {
     STOCDR_REQUIRE(initial.size() == fine.num_states(),
@@ -885,7 +695,8 @@ std::vector<double> RobustSolver::run_degraded(std::size_t max_states,
     coarse_initial = markov::restrict_sum(composed, initial);
   }
   std::vector<double> coarse_x =
-      run_ladder(coarse, coarse_hierarchy, coarse_initial, clock, report);
+      run_ladder({coarse, &coarse, &coarse_hierarchy, gmres_restart}, options_,
+                 default_ladder(), coarse_initial, clock, report);
 
   // Expand: spread each group's stationary mass uniformly over its fine
   // states, then polish with damped power sweeps (deadline permitting).
@@ -932,6 +743,8 @@ RobustResult RobustSolver::solve(std::span<const double> initial) const {
   // hierarchy level whose prediction fits; when nothing fits the solve is
   // refused with a structured report — never an OOM kill mid-ladder.
   std::size_t admission_max_states = options_.max_states;
+  const std::uint64_t fine_states = c.num_states();
+  const std::uint64_t fine_nnz = c.num_transitions();
   if (options_.memory_budget_bytes > 0) {
     const auto predict = [](std::uint64_t states, std::uint64_t transitions) {
       obs::mem::CapacityInputs in;
@@ -939,8 +752,6 @@ RobustResult RobustSolver::solve(std::span<const double> initial) const {
       in.transitions = transitions;
       return obs::mem::estimate_capacity(in).peak_bytes();
     };
-    const std::uint64_t fine_states = c.num_states();
-    const std::uint64_t fine_nnz = c.num_transitions();
     out.report.memory_budget_bytes = options_.memory_budget_bytes;
     out.report.predicted_peak_bytes = predict(fine_states, fine_nnz);
     if (out.report.predicted_peak_bytes > options_.memory_budget_bytes) {
@@ -963,97 +774,41 @@ RobustResult RobustSolver::solve(std::span<const double> initial) const {
           composed = composed.compose(hierarchy_[level]);
         }
       }
-      if (fit_states > 0) {
-        admission_max_states = std::min(admission_max_states, fit_states);
-        out.report.degraded_for_memory = true;
-        admission_degrade_counter().add(1);
-        obs::evt::emit(
-            "admission.degrade", obs::evt::Severity::kWarning,
-            {{"predicted_peak_bytes", out.report.predicted_peak_bytes},
-             {"memory_budget_bytes", out.report.memory_budget_bytes}});
-      } else {
-        out.report.admission_refused = true;
-        admission_reject_counter().add(1);
-        obs::evt::emit(
-            "admission.refuse", obs::evt::Severity::kWarning,
-            {{"predicted_peak_bytes", out.report.predicted_peak_bytes},
-             {"memory_budget_bytes", out.report.memory_budget_bytes}});
-        out.report.seconds = clock.seconds();
-        if (span.active()) {
-          span.attr("admission_refused", true);
-          span.attr("predicted_peak_bytes", out.report.predicted_peak_bytes);
-          span.attr("memory_budget_bytes", out.report.memory_budget_bytes);
-        }
-        return out;
-      }
-    }
-  }
-
-  // Durable-checkpoint restore: warm-start from the newest on-disk
-  // generation that validates for this configuration.  Every rejected
-  // generation is counted, noted on the trace, and degraded past — a bad
-  // checkpoint costs warmth, never correctness.
-  std::span<const double> start = initial;
-  std::vector<double> restored;
-  if (!options_.checkpoint_path.empty()) {
-    ckpt::RestoreScan scan = ckpt::load_latest(
-        options_.checkpoint_path, options_.checkpoint_keep,
-        options_.checkpoint_config_hash, c.num_states());
-    out.report.checkpoint_rejects = scan.rejected;
-    if (scan.rejected > 0) {
-      checkpoint_reject_counter().add(scan.rejected);
-      obs::evt::emit("checkpoint.reject", obs::evt::Severity::kWarning,
-                     {{"rejected", std::uint64_t{scan.rejected}},
-                      {"detail", scan.reject_details.front()}});
-      obs::Span note("robust.checkpoint_reject");
-      if (note.active()) {
-        note.attr("rejected", scan.rejected);
-        note.attr("detail", std::string_view(scan.reject_details.front()));
-      }
-      for (const std::string& line : scan.reject_details) {
-        std::fprintf(stderr, "stocdr: checkpoint rejected: %s\n",
-                     line.c_str());
-      }
-    }
-    if (scan.best.status == ckpt::LoadStatus::kOk && initial.empty()) {
-      out.report.checkpoint_restored = true;
-      out.report.checkpoint_restore_path = scan.restored_path;
-      out.report.checkpoint_restore_iteration = scan.best.checkpoint.iteration;
-      out.report.checkpoint_restore_residual = scan.best.checkpoint.residual;
-      checkpoint_restore_counter().add(1);
+      if (fit_states == 0) return refuse_admission(std::move(out), clock, span);
+      admission_max_states = std::min(admission_max_states, fit_states);
+      out.report.degraded_for_memory = true;
+      admission_degrade_counter().add(1);
       obs::evt::emit(
-          "checkpoint.restore", obs::evt::Severity::kInfo,
-          {{"iteration",
-            std::uint64_t{scan.best.checkpoint.iteration}},
-           {"residual", scan.best.checkpoint.residual}});
-      restored = std::move(scan.best.checkpoint.iterate);
-      start = restored;
+          "admission.degrade", obs::evt::Severity::kWarning,
+          {{"predicted_peak_bytes", out.report.predicted_peak_bytes},
+           {"memory_budget_bytes", out.report.memory_budget_bytes}});
     }
   }
+  // The GMRES rung runs without the multilevel coarse chains; price the
+  // fine chain's solve phase with them left out.  A degraded ladder runs on
+  // a smaller chain, so the fine-chain restart is conservative there.
+  const std::size_t gmres_restart =
+      fit_gmres_restart(options_.memory_budget_bytes, [&](std::size_t m) {
+        obs::mem::CapacityInputs in;
+        in.states = fine_states;
+        in.transitions = fine_nnz;
+        in.multilevel = false;
+        in.workspace_vectors += static_cast<double>(m + 4);
+        return obs::mem::estimate_capacity(in).solve_phase_bytes();
+      });
 
+  std::vector<double> restored;
+  const std::span<const double> start = restore_checkpoint(
+      options_, c.num_states(), initial, restored, out.report);
   if (c.num_states() > admission_max_states && !hierarchy_.empty()) {
-    out.distribution =
-        run_degraded(admission_max_states, start, clock, out.report);
+    out.distribution = run_degraded(admission_max_states, gmres_restart, start,
+                                    clock, out.report);
   } else {
-    out.distribution = run_ladder(c, hierarchy_, start, clock, out.report);
+    out.distribution =
+        run_ladder({c, &c, &hierarchy_, gmres_restart}, options_,
+                   default_ladder(), start, clock, out.report);
   }
-  out.report.seconds = clock.seconds();
-  if (out.report.deadline_exceeded) {
-    deadline_counter().add(1);
-    obs::evt::emit("deadline.exceeded", obs::evt::Severity::kWarning,
-                   {{"seconds", out.report.seconds}});
-  }
-  if (span.active()) {
-    span.attr("converged", out.report.converged);
-    span.attr("residual", out.report.residual);
-    span.attr("rungs", out.report.rungs.size());
-    span.attr("deadline_exceeded", out.report.deadline_exceeded);
-    span.attr("degraded", out.report.degraded);
-    span.attr("degraded_for_memory", out.report.degraded_for_memory);
-    span.attr("checkpoint_restored", out.report.checkpoint_restored);
-    span.attr("method", std::string_view(out.report.final_method));
-  }
-  return out;
+  return finish_solve(std::move(out), clock, span);
 }
 
 RobustResult solve_stationary_robust(
@@ -1064,7 +819,7 @@ RobustResult solve_stationary_robust(
   return solver.solve(initial);
 }
 
-RobustResult solve_stationary_robust(const solvers::StepOperator& op,
+RobustResult solve_stationary_robust(const markov::StepOperator& op,
                                      const RobustOptions& options,
                                      std::span<const double> initial,
                                      std::uint64_t operator_storage_bytes,
@@ -1089,7 +844,7 @@ RobustResult solve_stationary_robust(const solvers::StepOperator& op,
   // place, so anything beyond the repair tolerance is a rejection rather
   // than a repair; sub-tolerance defects are recorded and tolerated (the
   // power-family rungs re-normalize every iterate).
-  out.report.stochasticity_defect = solvers::stochasticity_defect(op);
+  out.report.stochasticity_defect = op.stochasticity_defect();
   if (out.report.stochasticity_defect > options.repair_tolerance) {
     throw PreconditionError(
         "robust: row-stochasticity defect " +
@@ -1101,102 +856,32 @@ RobustResult solve_stationary_robust(const solvers::StepOperator& op,
   // Memory admission gate: the matrix-free capacity model prices the
   // operator's own storage plus the iterate/shuffle workspace.  No grid
   // degradation exists on this path (there is no lumping hierarchy), so an
-  // over-budget prediction refuses outright.  When the base footprint
-  // fits, the GMRES restart is shrunk until its Krylov basis fits too —
-  // the rung is skipped (never the solve refused) when no useful basis
-  // does.
-  std::size_t gmres_restart = 80;
+  // over-budget prediction refuses outright.
+  obs::mem::OperatorCapacityInputs cin;
+  cin.states = n;
+  cin.operator_bytes = operator_storage_bytes;
   if (options.memory_budget_bytes > 0) {
-    obs::mem::OperatorCapacityInputs cin;
-    cin.states = n;
-    cin.operator_bytes = operator_storage_bytes;
     out.report.memory_budget_bytes = options.memory_budget_bytes;
     out.report.predicted_peak_bytes =
         obs::mem::estimate_operator_capacity(cin).peak_bytes();
     if (out.report.predicted_peak_bytes > options.memory_budget_bytes) {
-      out.report.admission_refused = true;
-      admission_reject_counter().add(1);
-      obs::evt::emit(
-          "admission.refuse", obs::evt::Severity::kWarning,
-          {{"predicted_peak_bytes", out.report.predicted_peak_bytes},
-           {"memory_budget_bytes", out.report.memory_budget_bytes}});
-      out.report.seconds = clock.seconds();
-      if (span.active()) {
-        span.attr("admission_refused", true);
-        span.attr("predicted_peak_bytes", out.report.predicted_peak_bytes);
-        span.attr("memory_budget_bytes", out.report.memory_budget_bytes);
-      }
-      return out;
-    }
-    const auto peak_with_basis = [&](std::size_t m) {
-      obs::mem::OperatorCapacityInputs basis = cin;
-      // Basis vectors plus the rhs / B x0 / update temporaries of the rung.
-      basis.workspace_vectors += static_cast<double>(m + 4);
-      return obs::mem::estimate_operator_capacity(basis).peak_bytes();
-    };
-    while (gmres_restart > 0 &&
-           peak_with_basis(gmres_restart) > options.memory_budget_bytes) {
-      gmres_restart = gmres_restart >= 20 ? gmres_restart / 2 : 0;
+      return refuse_admission(std::move(out), clock, span);
     }
   }
+  const std::size_t gmres_restart =
+      fit_gmres_restart(options.memory_budget_bytes, [&](std::size_t m) {
+        obs::mem::OperatorCapacityInputs basis = cin;
+        basis.workspace_vectors += static_cast<double>(m + 4);
+        return obs::mem::estimate_operator_capacity(basis).peak_bytes();
+      });
 
-  // Durable-checkpoint restore, as on the explicit path.
-  std::span<const double> start = initial;
   std::vector<double> restored;
-  if (!options.checkpoint_path.empty()) {
-    ckpt::RestoreScan scan =
-        ckpt::load_latest(options.checkpoint_path, options.checkpoint_keep,
-                          options.checkpoint_config_hash, n);
-    out.report.checkpoint_rejects = scan.rejected;
-    if (scan.rejected > 0) {
-      checkpoint_reject_counter().add(scan.rejected);
-      obs::evt::emit("checkpoint.reject", obs::evt::Severity::kWarning,
-                     {{"rejected", std::uint64_t{scan.rejected}},
-                      {"detail", scan.reject_details.front()}});
-      obs::Span note("robust.checkpoint_reject");
-      if (note.active()) {
-        note.attr("rejected", scan.rejected);
-        note.attr("detail", std::string_view(scan.reject_details.front()));
-      }
-      for (const std::string& line : scan.reject_details) {
-        std::fprintf(stderr, "stocdr: checkpoint rejected: %s\n",
-                     line.c_str());
-      }
-    }
-    if (scan.best.status == ckpt::LoadStatus::kOk && initial.empty()) {
-      out.report.checkpoint_restored = true;
-      out.report.checkpoint_restore_path = scan.restored_path;
-      out.report.checkpoint_restore_iteration = scan.best.checkpoint.iteration;
-      out.report.checkpoint_restore_residual = scan.best.checkpoint.residual;
-      checkpoint_restore_counter().add(1);
-      obs::evt::emit(
-          "checkpoint.restore", obs::evt::Severity::kInfo,
-          {{"iteration",
-            std::uint64_t{scan.best.checkpoint.iteration}},
-           {"residual", scan.best.checkpoint.residual}});
-      restored = std::move(scan.best.checkpoint.iterate);
-      start = restored;
-    }
-  }
-
+  const std::span<const double> start =
+      restore_checkpoint(options, n, initial, restored, out.report);
   out.distribution =
-      run_operator_ladder(op, options, start, clock, gmres_restart,
-                          out.report);
-  out.report.seconds = clock.seconds();
-  if (out.report.deadline_exceeded) {
-    deadline_counter().add(1);
-    obs::evt::emit("deadline.exceeded", obs::evt::Severity::kWarning,
-                   {{"seconds", out.report.seconds}});
-  }
-  if (span.active()) {
-    span.attr("converged", out.report.converged);
-    span.attr("residual", out.report.residual);
-    span.attr("rungs", out.report.rungs.size());
-    span.attr("deadline_exceeded", out.report.deadline_exceeded);
-    span.attr("checkpoint_restored", out.report.checkpoint_restored);
-    span.attr("method", std::string_view(out.report.final_method));
-  }
-  return out;
+      run_ladder({op, nullptr, nullptr, gmres_restart}, options,
+                 default_matrix_free_ladder(), start, clock, out.report);
+  return finish_solve(std::move(out), clock, span);
 }
 
 }  // namespace stocdr::robust

@@ -16,6 +16,11 @@
 // degradation to a coarser phase grid (via the existing lumping machinery)
 // when the chain exceeds the state ceiling.  Every decision is recorded in
 // a RobustSolveReport and mirrored to the obs layer.
+//
+// Both entry points — an explicit MarkovChain and any markov::StepOperator
+// (the matrix-free Kronecker descriptor) — run the same ladder loop.  The
+// rungs that need rows (multilevel, SOR, GTH) are skipped by capability
+// when only an operator is given.
 #pragma once
 
 #include <cstddef>
@@ -29,10 +34,10 @@
 
 #include "markov/chain.hpp"
 #include "markov/lumping.hpp"
+#include "markov/step_operator.hpp"
 #include "robust/report.hpp"
 #include "robust/sentinel.hpp"
 #include "solvers/aggregation.hpp"
-#include "solvers/operator_stationary.hpp"
 #include "solvers/options.hpp"
 
 namespace stocdr::robust {
@@ -98,7 +103,9 @@ struct RobustOptions {
   /// budget first tries to degrade through the lumping hierarchy to a
   /// coarse size that fits, and refuses with a structured report (never an
   /// OOM) when even the coarsest level will not.  Refusals bump the
-  /// `robust.admission_rejects` metric.
+  /// `robust.admission_rejects` metric.  On both representations the budget
+  /// also sizes the GMRES rung's Krylov restart: 80, halved down to 10 until
+  /// the priced basis fits, else the rung is skipped.
   std::size_t memory_budget_bytes = 0;
 
   /// Largest chain the GTH rung will accept (dense O(n^3)).
@@ -184,19 +191,13 @@ class RobustSolver {
   [[nodiscard]] bool repaired() const { return repaired_ != nullptr; }
 
  private:
-  /// Runs the ladder on `chain` with `hierarchy`, appending to `report`.
-  [[nodiscard]] std::vector<double> run_ladder(
-      const markov::MarkovChain& chain,
-      const std::vector<markov::Partition>& hierarchy,
-      std::span<const double> initial, const Timer& clock,
-      RobustSolveReport& report) const;
-
   /// Degraded path: lump below `max_states` (the options ceiling, possibly
   /// tightened by the memory admission gate), ladder the coarse chain,
   /// expand.
   [[nodiscard]] std::vector<double> run_degraded(
-      std::size_t max_states, std::span<const double> initial,
-      const Timer& clock, RobustSolveReport& report) const;
+      std::size_t max_states, std::size_t gmres_restart,
+      std::span<const double> initial, const Timer& clock,
+      RobustSolveReport& report) const;
 
   const markov::MarkovChain* chain_;
   std::unique_ptr<markov::MarkovChain> repaired_;
@@ -211,19 +212,18 @@ class RobustSolver {
     const std::vector<markov::Partition>& hierarchy = {},
     const RobustOptions& options = {}, std::span<const double> initial = {});
 
-/// Matrix-free form: runs the ladder through an abstract StepOperator (the
-/// Kronecker descriptor path).  Rungs that need an explicit matrix
-/// (multilevel, SOR, GTH) report FailureCause::kSkipped with an explanatory
-/// detail; an empty options.ladder selects default_matrix_free_ladder().
-/// No repair (a defect beyond repair_tolerance throws — the operator cannot
-/// be renormalized in place) and no grid degradation (there is no lumping
+/// Matrix-free form: runs the same ladder through an abstract StepOperator
+/// (the Kronecker descriptor path).  Rungs that need rows (multilevel, SOR,
+/// GTH) report FailureCause::kSkipped with an explanatory detail; an empty
+/// options.ladder selects default_matrix_free_ladder().  No repair (a
+/// defect beyond repair_tolerance throws — the operator cannot be
+/// renormalized in place) and no grid degradation (there is no lumping
 /// hierarchy); the memory admission gate prices `operator_storage_bytes`
-/// plus the iterate workspace via estimate_operator_capacity, and shrinks
-/// the GMRES restart until the Krylov basis fits the budget (skipping the
-/// rung when even a minimal basis will not).  `representation` lands in
-/// RobustSolveReport::representation ("kronecker" for descriptor callers).
+/// plus the iterate workspace via estimate_operator_capacity.
+/// `representation` lands in RobustSolveReport::representation
+/// ("kronecker" for descriptor callers).
 [[nodiscard]] RobustResult solve_stationary_robust(
-    const solvers::StepOperator& op, const RobustOptions& options = {},
+    const markov::StepOperator& op, const RobustOptions& options = {},
     std::span<const double> initial = {},
     std::uint64_t operator_storage_bytes = 0,
     std::string_view representation = "operator");

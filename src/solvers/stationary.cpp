@@ -8,7 +8,6 @@
 #include "obs/prof/roofline.hpp"
 #include "obs/trace.hpp"
 #include "parallel/pool.hpp"
-#include "parallel/reduce.hpp"
 #include "sparse/gth.hpp"
 #include "support/error.hpp"
 #include "support/math.hpp"
@@ -16,7 +15,7 @@
 
 namespace stocdr::solvers {
 
-namespace detail {
+namespace {
 
 obs::Counter& stationary_matvec_counter() {
   static obs::Counter& counter =
@@ -24,10 +23,42 @@ obs::Counter& stationary_matvec_counter() {
   return counter;
 }
 
-std::vector<double> make_initial(const markov::MarkovChain& chain,
+/// x /= mass, element-wise: each divide is exact, so the result does not
+/// depend on the lane count.
+void divide_by(std::span<double> x, double mass) {
+  par::parallel_for(x.size(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) x[i] /= mass;
+  });
+}
+
+/// The iterative solvers' common epilogue: close the residual history,
+/// count the matvecs, hand over the iterate, and stamp time and span.
+void finish(StationaryResult& result, ResidualRecorder& recorder,
+            std::vector<double>& x, const Timer& timer, obs::Span& span) {
+  recorder.finish(result.stats.residual);
+  stationary_matvec_counter().add(result.stats.matvec_count);
+  result.distribution = std::move(x);
+  result.stats.seconds = timer.seconds();
+  if (span.active()) {
+    span.attr("states", result.distribution.size());
+    span.attr("iterations", result.stats.iterations);
+    span.attr("residual", result.stats.residual);
+    span.attr("converged", result.stats.converged);
+  }
+}
+
+}  // namespace
+
+namespace detail {
+
+std::vector<double> make_initial(const markov::StepOperator& op,
                                  std::span<const double> initial) {
-  if (initial.empty()) return chain.uniform_distribution();
-  STOCDR_REQUIRE(initial.size() == chain.num_states(),
+  const std::size_t n = op.size();
+  STOCDR_REQUIRE(n > 0, "stationary solve on an empty chain");
+  if (initial.empty()) {
+    return std::vector<double>(n, 1.0 / static_cast<double>(n));
+  }
+  STOCDR_REQUIRE(initial.size() == n,
                  "initial guess size must match the chain");
   std::vector<double> x(initial.begin(), initial.end());
   for (double& v : x) v = std::max(v, 0.0);
@@ -37,14 +68,14 @@ std::vector<double> make_initial(const markov::MarkovChain& chain,
 
 }  // namespace detail
 
-double stationary_residual(const markov::MarkovChain& chain,
+double stationary_residual(const markov::StepOperator& op,
                            std::span<const double> x) {
   std::vector<double> y(x.size());
-  chain.step(x, y);
-  return par::l1_distance(x, y);
+  op.step(x, y);
+  return l1_distance(x, y);
 }
 
-StationaryResult solve_stationary_power(const markov::MarkovChain& chain,
+StationaryResult solve_stationary_power(const markov::StepOperator& op,
                                         const SolverOptions& options,
                                         std::span<const double> initial) {
   const Timer timer;
@@ -53,15 +84,16 @@ StationaryResult solve_stationary_power(const markov::MarkovChain& chain,
   StationaryResult result;
   result.stats.method = "power";
   ResidualRecorder recorder(result.stats.residual_history);
-  std::vector<double> x = detail::make_initial(chain, initial);
-  std::vector<double> y(x.size());
+  std::vector<double> x = detail::make_initial(op, initial);
+  const std::size_t n = x.size();
+  std::vector<double> y(n);
   const double w = options.relaxation;
   STOCDR_REQUIRE(w > 0.0 && w <= 1.0,
                  "power iteration damping must be in (0, 1]");
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
-    chain.step(x, y);
+    op.step(x, y);
     ++result.stats.matvec_count;
-    const double res = par::l1_distance(x, y);
+    const double res = l1_distance(x, y);
     recorder.record(res);
     // The event carries the pre-update iterate: `res` is *its* residual, so
     // observers checkpoint a (vector, residual) pair that belongs together.
@@ -73,18 +105,25 @@ StationaryResult solve_stationary_power(const markov::MarkovChain& chain,
     }
     {
       const obs::prof::KernelScope roofline(
-          "power_update", obs::prof::power_update_bytes(x.size()),
-          obs::prof::power_update_flops(x.size()));
+          "power_update", obs::prof::power_update_bytes(n),
+          obs::prof::power_update_flops(n));
       if (w == 1.0) {
         x.swap(y);
       } else {
-        par::parallel_for(x.size(), [&](std::size_t begin, std::size_t end) {
+        par::parallel_for(n, [&](std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) {
             x[i] = (1.0 - w) * x[i] + w * y[i];
           }
         });
       }
-      if (std::isfinite(res)) par::normalize_l1(x);
+      if (std::isfinite(res)) {
+        const double mass = kahan_sum(x);
+        if (!(mass > 0.0) || !std::isfinite(mass)) {
+          throw NumericalError(
+              "normalize_l1: vector sum is zero or non-finite");
+        }
+        divide_by(x, mass);
+      }
     }
     if (!std::isfinite(res)) {
       result.stats.residual = std::numeric_limits<double>::infinity();
@@ -98,27 +137,86 @@ StationaryResult solve_stationary_power(const markov::MarkovChain& chain,
       break;
     }
   }
-  recorder.finish(result.stats.residual);
-  detail::stationary_matvec_counter().add(result.stats.matvec_count);
-  result.distribution = std::move(x);
-  result.stats.seconds = timer.seconds();
-  if (span.active()) {
-    span.attr("states", chain.num_states());
-    span.attr("iterations", result.stats.iterations);
-    span.attr("residual", result.stats.residual);
-    span.attr("converged", result.stats.converged);
+  finish(result, recorder, x, timer, span);
+  return result;
+}
+
+StationaryResult solve_stationary_jacobi(const markov::StepOperator& op,
+                                         const SolverOptions& options,
+                                         std::span<const double> initial) {
+  const Timer timer;
+  obs::Span span("solve.relaxation");
+  if (span.active()) span.attr("method", std::string_view("jacobi"));
+  const par::ThreadScope threads(options.threads);
+  const double w = options.relaxation;
+  STOCDR_REQUIRE(w > 0.0 && w <= 1.0, "Jacobi relaxation must be in (0, 1]");
+  StationaryResult result;
+  result.stats.method = "jacobi";
+  ResidualRecorder recorder(result.stats.residual_history);
+  std::vector<double> x = detail::make_initial(op, initial);
+  const std::size_t n = x.size();
+  std::vector<double> y(n);
+  std::vector<double> next(n);
+
+  const std::vector<double> diag = op.diagonal();
+  for (const double d : diag) {
+    if (!(1.0 - d > 0.0)) {
+      throw NumericalError(
+          "relaxation solver: absorbing state encountered (p_ii = 1)");
+    }
   }
+
+  for (std::size_t it = 0; it < options.max_iterations; ++it) {
+    op.step(x, y);  // y = P^T x; row i's off-diagonal mass is y_i - p_ii x_i
+    ++result.stats.matvec_count;
+    {
+      const obs::prof::KernelScope roofline(
+          "jacobi_update", obs::prof::power_update_bytes(n),
+          obs::prof::power_update_flops(n));
+      par::parallel_for(n, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const double acc = y[i] - diag[i] * x[i];
+          next[i] = (1.0 - w) * x[i] + w * (acc / (1.0 - diag[i]));
+        }
+      });
+    }
+    const double delta = l1_distance(x, next);
+    x.swap(next);
+    const double mass = kahan_sum(x);
+    if (!std::isfinite(delta) || !std::isfinite(mass) || !(mass > 0.0)) {
+      result.stats.residual = std::numeric_limits<double>::infinity();
+      result.stats.iterations = it + 1;
+      finish(result, recorder, x, timer, span);
+      return result;
+    }
+    divide_by(x, mass);
+    result.stats.iterations = it + 1;
+    result.stats.residual = delta;
+    recorder.record(delta);
+    if (!obs::notify(options.progress, "jacobi", it + 1, delta,
+                     result.stats.matvec_count, x)) {
+      break;  // observer cancelled; converged stays false
+    }
+    if (delta < options.tolerance) {
+      result.stats.converged = true;
+      break;
+    }
+  }
+  // Report the true stationary residual rather than the sweep delta.
+  result.stats.residual = stationary_residual(op, x);
+  finish(result, recorder, x, timer, span);
   return result;
 }
 
 namespace {
 
-/// Shared core for Jacobi / Gauss-Seidel / SOR.  `in_place` selects
-/// Gauss-Seidel ordering; `w` is the relaxation factor.
+/// Shared core for Gauss-Seidel / SOR: in-place row sweeps over the stored
+/// P^T, so later states see values updated earlier in the same sweep.  The
+/// sweep consumes what it just wrote and stays serial by construction; `w`
+/// is the relaxation factor.
 StationaryResult relaxation_solve(const markov::MarkovChain& chain,
                                   const SolverOptions& options,
-                                  std::span<const double> initial,
-                                  bool in_place, double w,
+                                  std::span<const double> initial, double w,
                                   const char* method) {
   const Timer timer;
   obs::Span span("solve.relaxation");
@@ -130,19 +228,11 @@ StationaryResult relaxation_solve(const markov::MarkovChain& chain,
   const auto& pt = chain.pt();
   const std::size_t n = chain.num_states();
   std::vector<double> x = detail::make_initial(chain, initial);
+  const std::vector<double> diag = chain.diagonal();
 
-  // Cache the diagonal of P (p_ii = pt(i, i)).
-  std::vector<double> diag(n);
-  for (std::size_t i = 0; i < n; ++i) diag[i] = pt.at(i, i);
-
-  std::vector<double> next(in_place ? 0 : n);
-
-  // One Jacobi row update; rows are independent given the previous iterate,
-  // so the Jacobi sweep parallelizes over nnz-balanced row ranges.  The
-  // Gauss-Seidel / SOR sweep (in_place) consumes values it just wrote and
-  // stays serial by construction.
-  const auto jacobi_rows = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
+  for (std::size_t it = 0; it < options.max_iterations; ++it) {
+    double delta = 0.0;  // L1 change across the sweep
+    for (std::size_t i = 0; i < n; ++i) {
       // Incoming probability mass excluding the self-loop.
       double acc = 0.0;
       const auto cols = pt.row_cols(i);
@@ -155,64 +245,23 @@ StationaryResult relaxation_solve(const markov::MarkovChain& chain,
         throw NumericalError(
             "relaxation solver: absorbing state encountered (p_ii = 1)");
       }
-      next[i] = (1.0 - w) * x[i] + w * (acc / denom);
-    }
-  };
-
-  for (std::size_t it = 0; it < options.max_iterations; ++it) {
-    double delta = 0.0;  // L1 change across the sweep
-    if (in_place) {
-      for (std::size_t i = 0; i < n; ++i) {
-        double acc = 0.0;
-        const auto cols = pt.row_cols(i);
-        const auto vals = pt.row_values(i);
-        for (std::size_t k = 0; k < cols.size(); ++k) {
-          if (cols[k] != i) acc += vals[k] * x[cols[k]];
-        }
-        const double denom = 1.0 - diag[i];
-        if (!(denom > 0.0)) {
-          throw NumericalError(
-              "relaxation solver: absorbing state encountered (p_ii = 1)");
-        }
-        const double xi_new = (1.0 - w) * x[i] + w * (acc / denom);
-        delta += std::abs(xi_new - x[i]);
-        x[i] = xi_new;
-      }
-    } else {
-      const obs::prof::KernelScope roofline(
-          "jacobi_sweep", obs::prof::jacobi_bytes(n, pt.nnz()),
-          obs::prof::jacobi_flops(n, pt.nnz()));
-      const std::size_t lanes = par::lanes_for(pt.nnz());
-      if (lanes <= 1) {
-        jacobi_rows(0, n);
-      } else {
-        const auto bounds = par::balanced_boundaries(pt.row_ptr(), lanes);
-        par::run_lanes(lanes, [&](std::size_t lane) {
-          jacobi_rows(bounds[lane], bounds[lane + 1]);
-        });
-      }
+      const double xi_new = (1.0 - w) * x[i] + w * (acc / denom);
+      delta += std::abs(xi_new - x[i]);
+      x[i] = xi_new;
     }
     ++result.stats.matvec_count;
-    if (!in_place) {
-      delta = par::l1_distance(x, next);
-      x.swap(next);
-    }
     // Divergence (e.g. over-relaxed SOR on a non-dominant chain) shows up
     // as a non-finite sweep delta or an iterate whose total mass is no
     // longer positive (overshoot into negative entries): stop and report
     // non-convergence instead of propagating NaNs.
-    const double mass = par::sum(x);
+    const double mass = kahan_sum(x);
     if (!std::isfinite(delta) || !std::isfinite(mass) || !(mass > 0.0)) {
       result.stats.residual = std::numeric_limits<double>::infinity();
       result.stats.iterations = it + 1;
-      recorder.finish(result.stats.residual);
-      result.distribution = std::move(x);
-      result.stats.seconds = timer.seconds();
+      finish(result, recorder, x, timer, span);
       return result;
     }
-    par::parallel_for(n, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) x[i] /= mass;
-    });
+    divide_by(x, mass);
     result.stats.iterations = it + 1;
     result.stats.residual = delta;
     recorder.record(delta);
@@ -227,35 +276,16 @@ StationaryResult relaxation_solve(const markov::MarkovChain& chain,
   }
   // Report the true stationary residual rather than the sweep delta.
   result.stats.residual = stationary_residual(chain, x);
-  recorder.finish(result.stats.residual);
-  detail::stationary_matvec_counter().add(result.stats.matvec_count);
-  result.distribution = std::move(x);
-  result.stats.seconds = timer.seconds();
-  if (span.active()) {
-    span.attr("states", chain.num_states());
-    span.attr("iterations", result.stats.iterations);
-    span.attr("residual", result.stats.residual);
-    span.attr("converged", result.stats.converged);
-  }
+  finish(result, recorder, x, timer, span);
   return result;
 }
 
 }  // namespace
 
-StationaryResult solve_stationary_jacobi(const markov::MarkovChain& chain,
-                                         const SolverOptions& options,
-                                         std::span<const double> initial) {
-  STOCDR_REQUIRE(options.relaxation > 0.0 && options.relaxation <= 1.0,
-                 "Jacobi relaxation must be in (0, 1]");
-  return relaxation_solve(chain, options, initial, /*in_place=*/false,
-                          options.relaxation, "jacobi");
-}
-
 StationaryResult solve_stationary_gauss_seidel(
     const markov::MarkovChain& chain, const SolverOptions& options,
     std::span<const double> initial) {
-  return relaxation_solve(chain, options, initial, /*in_place=*/true, 1.0,
-                          "gauss-seidel");
+  return relaxation_solve(chain, options, initial, 1.0, "gauss-seidel");
 }
 
 StationaryResult solve_stationary_sor(const markov::MarkovChain& chain,
@@ -263,8 +293,7 @@ StationaryResult solve_stationary_sor(const markov::MarkovChain& chain,
                                       std::span<const double> initial) {
   STOCDR_REQUIRE(options.relaxation > 0.0 && options.relaxation < 2.0,
                  "SOR relaxation must be in (0, 2)");
-  return relaxation_solve(chain, options, initial, /*in_place=*/true,
-                          options.relaxation, "sor");
+  return relaxation_solve(chain, options, initial, options.relaxation, "sor");
 }
 
 StationaryResult solve_stationary_direct(const markov::MarkovChain& chain) {

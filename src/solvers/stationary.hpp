@@ -4,31 +4,40 @@
 // against (section 3: "basic iterative methods such as Jacobi and
 // Gauss-Seidel"), plus the power method.  All solve eta P = eta with
 // sum(eta) = 1 on an irreducible chain.
+//
+// Power and Jacobi need only y = P^T x and diag(P), so they run on any
+// markov::StepOperator: an explicit MarkovChain or the matrix-free
+// Kronecker descriptor.  Their reductions are serial (Kahan-compensated
+// where they normalize) and their element-wise updates are exact per
+// entry, so with a step that is bit-identical at any lane count — the CSR
+// gather SpMV and the Kronecker shuffle both are — the whole solve is
+// bitwise reproducible across thread counts.  The reductions are O(n)
+// against the O(nnz) step.  Gauss-Seidel, SOR and GTH need rows and take
+// the chain.
 #pragma once
 
 #include <span>
 
 #include "markov/chain.hpp"
+#include "markov/step_operator.hpp"
 #include "solvers/options.hpp"
-
-namespace stocdr::obs {
-class Counter;
-}  // namespace stocdr::obs
 
 namespace stocdr::solvers {
 
 /// Damped power iteration: x <- (1-w) x + w P^T x, renormalized.
 /// With w < 1 this converges for periodic chains as well.
 [[nodiscard]] StationaryResult solve_stationary_power(
-    const markov::MarkovChain& chain, const SolverOptions& options = {},
+    const markov::StepOperator& op, const SolverOptions& options = {},
     std::span<const double> initial = {});
 
 /// Gauss-Jacobi sweeps on (P^T - I) x = 0:
-///   x_i <- (sum_{j != i} p_ji x_j) / (1 - p_ii),  renormalized each sweep,
-/// damped by options.relaxation.  This is the smoother the paper interleaves
-/// with its lumping/expanding steps.
+///   x_i <- ((P^T x)_i - p_ii x_i) / (1 - p_ii),  renormalized each sweep,
+/// damped by options.relaxation: one step() per sweep plus an element-wise
+/// update.  This is the smoother the paper interleaves with its
+/// lumping/expanding steps.  Throws NumericalError on an absorbing state
+/// (p_ii = 1).
 [[nodiscard]] StationaryResult solve_stationary_jacobi(
-    const markov::MarkovChain& chain, const SolverOptions& options = {},
+    const markov::StepOperator& op, const SolverOptions& options = {},
     std::span<const double> initial = {});
 
 /// Gauss-Seidel sweeps: same update as Jacobi but in place, so later states
@@ -48,18 +57,17 @@ namespace stocdr::solvers {
 [[nodiscard]] StationaryResult solve_stationary_direct(
     const markov::MarkovChain& chain);
 
-/// L1 residual ||P^T x - x||_1 of a (normalized) candidate vector.
-[[nodiscard]] double stationary_residual(const markov::MarkovChain& chain,
+/// L1 residual ||P^T x - x||_1 of a (normalized) candidate vector, summed
+/// serially.
+[[nodiscard]] double stationary_residual(const markov::StepOperator& op,
                                          std::span<const double> x);
 
 namespace detail {
 /// Fills x with the initial guess: a copy of `initial` if non-empty
-/// (validated and normalized), otherwise the uniform distribution.
-std::vector<double> make_initial(const markov::MarkovChain& chain,
+/// (validated, clamped to >= 0 and normalized), otherwise the uniform
+/// distribution.
+std::vector<double> make_initial(const markov::StepOperator& op,
                                  std::span<const double> initial);
-/// The shared `solver.stationary.matvec` metric; the operator-based
-/// solvers (operator_stationary.cpp) count into the same stream.
-obs::Counter& stationary_matvec_counter();
 }  // namespace detail
 
 }  // namespace stocdr::solvers

@@ -237,24 +237,41 @@ robust::RobustOptions bit_identical_options() {
 TEST(KronRobustTest, SolveBitIdenticalAcrossThreadCounts) {
   const CdrModel model(small_config());
   const KroneckerCdrModel kron(model);
+  // The explicit chain on the same power rung: the CSR gather SpMV keeps
+  // each row's accumulation order, so it is bit-identical too.
+  const CdrChain chain = model.build();
+  robust::RobustOptions power_only;
+  power_only.ladder = {{robust::RungKind::kPower, 50000, 0.9}};
   const std::size_t saved = par::min_parallel_work();
   par::set_min_parallel_work(1);  // force the parallel kernels on
   std::vector<std::vector<double>> runs;
+  std::vector<std::vector<double>> explicit_runs;
   for (const std::size_t threads : {1u, 2u, 7u}) {
     const par::ThreadScope scope(threads);
     robust::RobustResult result =
         solve_stationary_robust(kron, bit_identical_options());
     EXPECT_TRUE(result.report.converged) << threads << " threads";
     runs.push_back(std::move(result.distribution));
+    robust::RobustResult explicit_result =
+        solve_stationary_robust(chain, power_only);
+    EXPECT_TRUE(explicit_result.report.converged)
+        << threads << " threads, explicit";
+    explicit_runs.push_back(std::move(explicit_result.distribution));
   }
   par::set_min_parallel_work(saved);
   ASSERT_EQ(runs[0].size(), kron.num_states());
+  ASSERT_EQ(explicit_runs[0].size(), chain.num_states());
   for (std::size_t k = 1; k < runs.size(); ++k) {
     ASSERT_EQ(runs[k].size(), runs[0].size());
     EXPECT_EQ(std::memcmp(runs[k].data(), runs[0].data(),
                           runs[0].size() * sizeof(double)),
               0)
         << "thread-count run " << k << " diverged bitwise";
+    ASSERT_EQ(explicit_runs[k].size(), explicit_runs[0].size());
+    EXPECT_EQ(std::memcmp(explicit_runs[k].data(), explicit_runs[0].data(),
+                          explicit_runs[0].size() * sizeof(double)),
+              0)
+        << "explicit thread-count run " << k << " diverged bitwise";
   }
 }
 

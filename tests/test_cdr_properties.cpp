@@ -2,6 +2,8 @@
 // hold for *every* valid configuration, exercised with parameterized tests.
 #include <cmath>
 #include <numeric>
+#include <ostream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -23,8 +25,7 @@ struct Sweep {
   double dead_zone;
 };
 
-std::string sweep_name(const ::testing::TestParamInfo<Sweep>& info) {
-  const Sweep& s = info.param;
+std::string sweep_label(const Sweep& s) {
   std::string name = "M" + std::to_string(s.phase_points) + "_V" +
                      std::to_string(s.vco_phases) + "_N" +
                      std::to_string(s.counter_length) +
@@ -35,6 +36,16 @@ std::string sweep_name(const ::testing::TestParamInfo<Sweep>& info) {
     name += "_dz" + std::to_string(static_cast<int>(s.dead_zone * 1000));
   }
   return name;
+}
+
+std::string sweep_name(const ::testing::TestParamInfo<Sweep>& info) {
+  return sweep_label(info.param);
+}
+
+/// gtest puts the parameter into the test name; without this it would
+/// print the struct's raw bytes, padding included.
+void PrintTo(const Sweep& sweep, std::ostream* os) {
+  *os << sweep_label(sweep);
 }
 
 class CdrPropertyTest : public ::testing::TestWithParam<Sweep> {

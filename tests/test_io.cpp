@@ -1,5 +1,6 @@
 #include "sparse/io.hpp"
 
+#include <cstdio>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -86,12 +87,13 @@ TEST(MatrixMarketTest, RejectsMalformedInput) {
 
 TEST(MatrixMarketTest, FileRoundTrip) {
   const CsrMatrix original = test::birth_death_pt(6, 0.3, 0.2);
-  const std::string path = ::testing::TempDir() + "/stocdr_io_test.mtx";
+  const std::string path = test::unique_temp_path("io_test.mtx");
   write_matrix_market_file(path, original, "birth death");
   const CsrMatrix parsed = read_matrix_market_file(path);
   EXPECT_TRUE(parsed.equals(original));
   EXPECT_THROW((void)read_matrix_market_file("/nonexistent/q.mtx"),
                PreconditionError);
+  std::remove(path.c_str());
 }
 
 TEST(VectorMarketTest, RoundTrip) {

@@ -14,6 +14,7 @@
 #include "obs/live/exporter.hpp"
 #include "obs/live/openmetrics.hpp"
 #include "obs/metrics.hpp"
+#include "test_util.hpp"
 
 namespace stocdr::obs {
 namespace {
@@ -110,7 +111,7 @@ TEST(OpenMetricsTest, ParserSkipsGarbageAndFlagsIncompleteDocuments) {
 // --- exporter ---------------------------------------------------------------
 
 TEST(LiveExporterTest, HeartbeatAdvancesAndFileIsComplete) {
-  const std::string path = ::testing::TempDir() + "/stocdr_live_export.om";
+  const std::string path = test::unique_temp_path("live_export.om");
   std::remove(path.c_str());
   MetricsRegistry::instance().counter("export.test.work").add(1);
 
@@ -136,7 +137,7 @@ TEST(LiveExporterTest, HeartbeatAdvancesAndFileIsComplete) {
 }
 
 TEST(LiveExporterTest, StartAndStopAreIdempotent) {
-  const std::string path = ::testing::TempDir() + "/stocdr_live_idem.om";
+  const std::string path = test::unique_temp_path("live_idem.om");
   LiveExporter::Options options;
   options.path = path;
   options.period_ms = 50;

@@ -350,6 +350,35 @@ TEST_F(MemTest, AdmissionGateDegradesWhenACoarseLevelFits) {
             std::string::npos);
 }
 
+TEST_F(MemTest, GmresRungStaysWithinTheBudgetItWasAdmittedUnder) {
+  if (!tracking_available()) GTEST_SKIP() << "counts-only platform";
+  // The fig4-top point under a budget equal to its own predicted peak:
+  // admission passes without degrading, so the GMRES rung has to size its
+  // Krylov basis to the budget rather than allocate its default 81
+  // n-vectors on top of the resident chain.
+  const cdr::CdrConfig config;
+  const std::uint64_t budget = cdr::estimate_cdr_capacity(config).peak_bytes();
+  robust::RobustOptions options;
+  options.memory_budget_bytes = budget;
+  options.ladder = {{robust::RungKind::kGmresStationary, 300, 1.0},
+                    {robust::RungKind::kPower, 200, 0.9}};
+  detail::set_enabled_for_test(true);
+  std::uint64_t measured = 0;
+  {
+    const cdr::CdrModel model(config);
+    const cdr::CdrChain chain = model.build();
+    reset();  // the high-water of the solve, with the chain resident
+    const robust::RobustResult result =
+        cdr::solve_stationary_robust(chain, options);
+    measured = peak_live_bytes();
+    EXPECT_FALSE(result.report.admission_refused);
+    EXPECT_FALSE(result.report.degraded_for_memory);
+  }
+  detail::set_enabled_for_test(false);
+  ASSERT_GT(measured, 0u);
+  EXPECT_LE(measured, budget);
+}
+
 TEST_F(MemTest, AdmissionGateIsInertWithoutABudget) {
   const cdr::CdrConfig config = small_paper_config();
   const cdr::CdrModel model(config);

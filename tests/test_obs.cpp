@@ -16,6 +16,7 @@
 #include "obs/sink.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
+#include "test_util.hpp"
 
 namespace stocdr::obs {
 namespace {
@@ -398,8 +399,7 @@ TEST(AttrToStringTest, AllVariantAlternatives) {
 }
 
 TEST(JsonlFileSinkTest, WritesManifestThenOneParseableObjectPerLine) {
-  const std::string path =
-      ::testing::TempDir() + "/stocdr_test_trace.jsonl";
+  const std::string path = test::unique_temp_path("trace.jsonl");
   std::remove(path.c_str());
   {
     JsonlFileSink sink(path);

@@ -16,6 +16,7 @@
 #include "obs/manifest.hpp"
 #include "obs/sink.hpp"
 #include "support/error.hpp"
+#include "test_util.hpp"
 
 namespace stocdr::obs::analyze {
 namespace {
@@ -79,7 +80,7 @@ TEST(JsonParseTest, RoundTripsThroughToJsonText) {
 /// reads everything back.
 class TraceRoundTrip {
  public:
-  TraceRoundTrip() : path_(::testing::TempDir() + "/obs_analyze_trace.jsonl") {
+  TraceRoundTrip() : path_(test::unique_temp_path("obs_analyze_trace.jsonl")) {
     std::remove(path_.c_str());
   }
   ~TraceRoundTrip() { std::remove(path_.c_str()); }

@@ -1,6 +1,7 @@
 #include "solvers/passage.hpp"
 
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -56,6 +57,26 @@ std::vector<double> dense_hitting_reference(const MarkovChain& chain,
   return full;
 }
 
+const char* method_name(PassageMethod method) {
+  switch (method) {
+    case PassageMethod::kGmres: return "gmres";
+    case PassageMethod::kGmresMultilevel: return "gmres_multilevel";
+    case PassageMethod::kJacobi: return "jacobi";
+  }
+  return "unknown";
+}
+
+}  // namespace
+
+/// gtest puts the parameter into the test name; without this the enum
+/// prints as raw bytes.  It lives outside the anonymous namespace so that
+/// argument-dependent lookup finds it next to PassageMethod.
+void PrintTo(PassageMethod method, std::ostream* os) {
+  *os << method_name(method);
+}
+
+namespace {
+
 class PassageMethodTest : public ::testing::TestWithParam<PassageMethod> {};
 
 TEST_P(PassageMethodTest, MatchesDenseReference) {
@@ -82,15 +103,7 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, PassageMethodTest,
                                            PassageMethod::kGmresMultilevel,
                                            PassageMethod::kJacobi),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case PassageMethod::kGmres:
-                               return "gmres";
-                             case PassageMethod::kGmresMultilevel:
-                               return "gmres_multilevel";
-                             case PassageMethod::kJacobi:
-                               return "jacobi";
-                           }
-                           return "unknown";
+                           return method_name(info.param);
                          });
 
 TEST(HittingTimeTest, MonotoneInDistanceToTarget) {

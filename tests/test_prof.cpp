@@ -181,8 +181,6 @@ TEST_F(ProfTest, KernelModelsCountCompulsoryTraffic) {
   // CSR SpMV, 10x10 with 40 entries: values+colidx once, rowptr, x, y.
   EXPECT_EQ(spmv_bytes(10, 10, 40), 40u * 12 + 11 * 4 + 10 * 8 + 10 * 8);
   EXPECT_EQ(spmv_flops(40), 80u);
-  EXPECT_EQ(jacobi_bytes(10, 40), 40u * 12 + 11 * 4 + 4 * 10 * 8);
-  EXPECT_EQ(jacobi_flops(10, 40), 2u * 40 + 2 * 10);
   EXPECT_EQ(power_update_bytes(10), 320u);
   EXPECT_EQ(power_update_flops(10), 40u);
   EXPECT_EQ(aggregation_bytes(100, 10), 100u * 12 + 10 * 8);

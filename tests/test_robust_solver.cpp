@@ -2,6 +2,7 @@
 // sentinels, checkpoint/restart, budgets, input repair, and graceful
 // degradation (src/robust/).
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "markov/chain.hpp"
+#include "markov/step_operator.hpp"
 #include "robust/robust_solver.hpp"
 #include "robust/sentinel.hpp"
 #include "solvers/aggregation.hpp"
@@ -114,6 +116,38 @@ TEST(RobustSolverTest, PeriodicChainTriggersStallSentinel) {
   EXPECT_EQ(result.report.final_method, "gth-direct");
   EXPECT_NEAR(result.distribution[0], 0.5, 1e-12);
   EXPECT_NEAR(result.distribution[1], 0.5, 1e-12);
+}
+
+// --- one ladder for both representations ------------------------------------
+
+TEST(RobustSolverTest, ChainAndOperatorEntriesRunOneLadder) {
+  // GMRES and power need only steps, so the chain entry and the same chain
+  // seen as a bare StepOperator must run the same rungs to the same bits.
+  // One restart cycle leaves GMRES short of 1e-12 on this two-successor
+  // random chain, so the power rung runs too, warm-started from GMRES.
+  const MarkovChain chain(test::random_sparse_stochastic_pt(500, 1, 7));
+  RobustOptions options;
+  options.ladder = {{RungKind::kGmresStationary, 1, 1.0},
+                    {RungKind::kPower, 50000, 0.9}};
+  const RobustResult via_chain = solve_stationary_robust(chain, {}, options);
+  const RobustResult via_operator = solve_stationary_robust(
+      static_cast<const markov::StepOperator&>(chain), options);
+
+  EXPECT_TRUE(via_chain.report.converged);
+  ASSERT_EQ(via_chain.report.rungs.size(), via_operator.report.rungs.size());
+  for (std::size_t r = 0; r < via_chain.report.rungs.size(); ++r) {
+    EXPECT_EQ(via_chain.report.rungs[r].method,
+              via_operator.report.rungs[r].method);
+    EXPECT_EQ(via_chain.report.rungs[r].failure,
+              via_operator.report.rungs[r].failure)
+        << via_chain.report.rungs[r].method;
+  }
+  ASSERT_EQ(via_chain.distribution.size(), chain.num_states());
+  ASSERT_EQ(via_operator.distribution.size(), chain.num_states());
+  EXPECT_EQ(std::memcmp(via_chain.distribution.data(),
+                        via_operator.distribution.data(),
+                        chain.num_states() * sizeof(double)),
+            0);
 }
 
 // --- acceptance (b): NaN mid-solve -> checkpoint/restart --------------------

@@ -2,6 +2,7 @@
 // and metrics — the observable surface of every iterative solver.
 #include <algorithm>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -94,10 +95,24 @@ using SolverFn = StationaryResult (*)(const MarkovChain&,
                                       const SolverOptions&,
                                       std::span<const double>);
 
+/// Power and Jacobi take any StepOperator; this adapts them to SolverFn.
+template <auto Solve>
+StationaryResult on_chain(const MarkovChain& chain,
+                          const SolverOptions& options,
+                          std::span<const double> initial) {
+  return Solve(chain, options, initial);
+}
+
 struct NamedSolver {
   const char* name;
   SolverFn solve;
 };
+
+/// gtest puts the parameter into the test name; without this it would
+/// print the struct's raw bytes, function-pointer addresses included.
+void PrintTo(const NamedSolver& solver, std::ostream* os) {
+  *os << solver.name;
+}
 
 class TelemetrySolverTest : public ::testing::TestWithParam<NamedSolver> {};
 
@@ -152,8 +167,8 @@ TEST_P(TelemetrySolverTest, ProgressObserverSeesEverySweep) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllSolvers, TelemetrySolverTest,
-    ::testing::Values(NamedSolver{"power", solve_stationary_power},
-                      NamedSolver{"jacobi", solve_stationary_jacobi},
+    ::testing::Values(NamedSolver{"power", on_chain<solve_stationary_power>},
+                      NamedSolver{"jacobi", on_chain<solve_stationary_jacobi>},
                       NamedSolver{"gauss-seidel",
                                   solve_stationary_gauss_seidel},
                       NamedSolver{"sor", solve_stationary_sor}),

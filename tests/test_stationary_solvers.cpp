@@ -1,5 +1,6 @@
 #include "solvers/stationary.hpp"
 
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,14 @@ using SolverFn = StationaryResult (*)(const MarkovChain&,
                                       const SolverOptions&,
                                       std::span<const double>);
 
+/// Power and Jacobi take any StepOperator; this adapts them to SolverFn.
+template <auto Solve>
+StationaryResult on_chain(const MarkovChain& chain,
+                          const SolverOptions& options,
+                          std::span<const double> initial) {
+  return Solve(chain, options, initial);
+}
+
 struct NamedSolver {
   const char* name;
   SolverFn solve;
@@ -27,6 +36,12 @@ struct NamedSolver {
   /// expected behaviour, so those entries damp there.
   double birth_death_relaxation;
 };
+
+/// gtest puts the parameter into the test name; without this it would
+/// print the struct's raw bytes, function-pointer addresses included.
+void PrintTo(const NamedSolver& solver, std::ostream* os) {
+  *os << solver.name;
+}
 
 class IterativeSolverTest : public ::testing::TestWithParam<NamedSolver> {};
 
@@ -86,10 +101,12 @@ TEST_P(IterativeSolverTest, IterationCapReported) {
 INSTANTIATE_TEST_SUITE_P(
     AllSolvers, IterativeSolverTest,
     ::testing::Values(
-        NamedSolver{"power", &solve_stationary_power, 1.0, 1.0},
-        NamedSolver{"power-damped", &solve_stationary_power, 0.8, 0.8},
-        NamedSolver{"jacobi", &solve_stationary_jacobi, 1.0, 0.9},
-        NamedSolver{"jacobi-damped", &solve_stationary_jacobi, 0.7, 0.7},
+        NamedSolver{"power", &on_chain<solve_stationary_power>, 1.0, 1.0},
+        NamedSolver{"power-damped", &on_chain<solve_stationary_power>, 0.8,
+                    0.8},
+        NamedSolver{"jacobi", &on_chain<solve_stationary_jacobi>, 1.0, 0.9},
+        NamedSolver{"jacobi-damped", &on_chain<solve_stationary_jacobi>, 0.7,
+                    0.7},
         NamedSolver{"gauss-seidel", &solve_stationary_gauss_seidel, 1.0, 1.0},
         NamedSolver{"sor", &solve_stationary_sor, 1.2, 1.2}),
     [](const ::testing::TestParamInfo<NamedSolver>& info) {

@@ -1,8 +1,14 @@
 // Shared fixtures and generators for the stocdr test suite.
 #pragma once
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstddef>
+#include <string>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "markov/chain.hpp"
 #include "sparse/coo.hpp"
@@ -91,6 +97,20 @@ inline std::vector<double> birth_death_stationary(std::size_t n, double p,
   }
   for (double& e : eta) e /= sum;
   return eta;
+}
+
+/// A path under ::testing::TempDir() for `file` that no other test process
+/// shares.  ctest runs every test of a binary as its own process out of one
+/// directory, and two builds' suites may run side by side, so the name
+/// carries the pid and the running test's name.
+inline std::string unique_temp_path(const std::string& file) {
+  std::string name = "stocdr_" + std::to_string(::getpid());
+  if (const ::testing::TestInfo* info =
+          ::testing::UnitTest::GetInstance()->current_test_info()) {
+    name += std::string("_") + info->test_suite_name() + "_" + info->name();
+  }
+  std::replace(name.begin(), name.end(), '/', '_');
+  return ::testing::TempDir() + "/" + name + "_" + file;
 }
 
 /// L1 distance between two vectors.
