@@ -24,7 +24,6 @@
 #include "cdr/measures.hpp"
 #include "cdr/model.hpp"
 #include "obs/dist/context.hpp"
-#include "obs/dist/event_log.hpp"
 #include "obs/health/health.hpp"
 #include "obs/json.hpp"
 #include "obs/manifest.hpp"
@@ -354,10 +353,9 @@ struct SweepPointSpec {
 // so the artifact stays byte-identical to a single-process run's.  Each
 // worker journals to `<journal>.shard<k>` and writes no artifact.  Workers
 // inherit the parent's environment with per-shard STOCDR_TRACE_FILE /
-// STOCDR_METRICS_EXPORT suffixes (so trace and metrics files never
-// collide) while STOCDR_EVENT_LOG stays shared — the event log is
-// multi-process-safe by construction (O_APPEND whole-line writes) and the
-// fleet's records interleave into one ordered file.  spawn_child exports
+// STOCDR_METRICS_EXPORT suffixes, so trace and metrics files never
+// collide; each worker's events land in its own `.shard<k>` trace, and
+// `stocdr-obsctl events` merges them by wall time.  spawn_child exports
 // STOCDR_TRACE_PARENT, so worker spans carry the parent's trace id and
 // merge under the parent's `sweep.fleet` span.
 
@@ -508,8 +506,6 @@ inline int run_journaled_sweep(const std::string& bench_name,
       std::vector<std::string> extra_env = {
           "STOCDR_SWEEP_SHARD=" + std::to_string(k) + "/" +
           std::to_string(workers)};
-      // Per-worker observability outputs; the event log path is NOT
-      // suffixed — it is shared on purpose (O_APPEND interleaving).
       const std::string suffix = ".shard" + std::to_string(k);
       if (const char* t = std::getenv("STOCDR_TRACE_FILE");
           t != nullptr && t[0] != '\0') {

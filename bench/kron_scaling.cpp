@@ -159,7 +159,8 @@ struct KronSolvedCase {
 
 void run_point(std::size_t phase_points) {
   const cdr::CdrConfig config = scale_point(phase_points);
-  const std::string suffix = "m" + std::to_string(phase_points);
+  std::string suffix = "m";
+  suffix += std::to_string(phase_points);
 
   const cdr::CdrCapacityEstimate explicit_est =
       cdr::estimate_cdr_capacity(config);

@@ -31,9 +31,11 @@ int main() {
     sim::CdrSimulator simulator(solved.model, 20260706);
     const auto mc = simulator.run(kBudget, 50'000);
     const auto ci = mc.ber();
+    char interval[64];
+    std::snprintf(interval, sizeof interval, "[%s, %s]",
+                  sci(ci.lower, 1).c_str(), sci(ci.upper, 1).c_str());
     table.add_row(
-        {sci(sigma, 1), sci(solved.ber, 2), sci(ci.estimate, 2),
-         "[" + sci(ci.lower, 1) + ", " + sci(ci.upper, 1) + "]",
+        {sci(sigma, 1), sci(solved.ber, 2), sci(ci.estimate, 2), interval,
          std::to_string(mc.bit_errors),
          solved.ber > 0.0 ? sci(sim::required_trials(solved.ber), 1)
                           : "n/a"});

@@ -5,7 +5,7 @@
 // Usage:
 //   cdr_analyzer [config.txt] [--export-prefix PREFIX] [--print-config]
 //                [--robust] [--tolerance EPS] [--time-budget SECONDS]
-//                [--metrics-out FILE] [--event-log FILE]
+//                [--metrics-out FILE]
 //                [--checkpoint FILE [--checkpoint-period N]]
 //                [--journal FILE] [--inject-fault nan|stall]
 //                [--mem-estimate] [--memory-budget BYTES]
@@ -31,11 +31,10 @@
 // histograms with p50/p90/p99 quantiles) is dumped as JSON — together with
 // the run-provenance manifest — via an atomic temp+rename write.
 //
-// With --event-log every notable condition (rung changes, checkpoint
-// writes/restores, admission decisions, health alarms, fault firings) is
-// appended to FILE as structured JSONL (obs/dist/event_log) — equivalent
-// to setting STOCDR_EVENT_LOG, but from the command line; inspect it with
-// `stocdr-obsctl events FILE`.
+// Every notable condition (rung changes, checkpoint writes/restores,
+// admission decisions, health alarms, fault firings) is an event in the
+// trace stream: set STOCDR_TRACE_FILE=FILE (or STOCDR_TRACE_RING /
+// STOCDR_TRACE=console) and inspect it with `stocdr-obsctl events FILE`.
 //
 // With --robust the stationary solve runs through the fault-tolerant
 // fallback ladder (src/robust/): divergence sentinels, checkpoint/restart
@@ -78,7 +77,6 @@
 #include "cdr/model.hpp"
 #include "fsm/graphviz.hpp"
 #include "obs/analyze/json_parse.hpp"
-#include "obs/dist/event_log.hpp"
 #include "obs/health/health.hpp"
 #include "obs/json.hpp"
 #include "obs/manifest.hpp"
@@ -129,12 +127,6 @@ int run(int argc, char** argv) {
         return 2;
       }
       metrics_out = argv[++i];
-    } else if (arg == "--event-log") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--event-log needs a file path\n");
-        return 2;
-      }
-      obs::evt::EventLog::instance().install(argv[++i]);
     } else if (arg == "--print-config") {
       print_config = true;
     } else if (arg == "--mem-estimate") {
@@ -231,7 +223,7 @@ int run(int argc, char** argv) {
           "[--print-config] [--robust] [--tolerance EPS] "
           "[--time-budget SECONDS] "
           "[--inject-fault nan|stall] [--threads N|auto] "
-          "[--metrics-out FILE] [--event-log FILE] [--checkpoint FILE] "
+          "[--metrics-out FILE] [--checkpoint FILE] "
           "[--checkpoint-period N] [--journal FILE] "
           "[--mem-estimate] [--memory-budget BYTES] "
           "[--matrix-free auto|on|off]\n");

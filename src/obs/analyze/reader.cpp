@@ -49,6 +49,30 @@ bool parse_span_line(const JsonValue& doc, TraceSpan& out) {
   return true;
 }
 
+/// An event line carries a string "event" kind (obs/sink.hpp's
+/// event_to_jsonl); everything else is optional.
+bool parse_event_line(const JsonValue& doc, TraceEvent& out) {
+  const JsonValue* kind = doc.find("event");
+  if (kind == nullptr || kind->type != JsonValue::Type::kString) return false;
+  out.kind = kind->string;
+  if (const JsonValue* v = doc.find("severity")) {
+    out.severity = std::string(v->string_or(""));
+  }
+  if (const JsonValue* v = doc.find("ts_ns")) out.ts_ns = v->uint_or(0);
+  if (const JsonValue* v = doc.find("pid")) {
+    out.pid = static_cast<std::uint32_t>(v->uint_or(0));
+  }
+  if (const JsonValue* v = doc.find("trace_id")) {
+    out.trace_id = std::string(v->string_or(""));
+  }
+  if (const JsonValue* v = doc.find("span_id")) out.span_id = v->uint_or(0);
+  if (const JsonValue* attrs = doc.find("attrs");
+      attrs != nullptr && attrs->is_object()) {
+    out.attrs = attrs->object;
+  }
+  return true;
+}
+
 }  // namespace
 
 TraceFile read_trace(std::istream& in) {
@@ -77,8 +101,11 @@ TraceFile read_trace(std::istream& in) {
       continue;
     }
     TraceSpan span;
+    TraceEvent event;
     if (parse_span_line(*doc, span)) {
       trace.spans.push_back(std::move(span));
+    } else if (parse_event_line(*doc, event)) {
+      trace.events.push_back(std::move(event));
     } else {
       ++trace.skipped_lines;
     }
@@ -105,7 +132,7 @@ std::optional<std::string> empty_trace_reason(const TraceFile& trace) {
            " line(s) are malformed — is this a JSONL trace?";
   }
   return "trace has no spans (" + std::to_string(trace.total_lines) +
-         " line(s): manifest/marker only)";
+         " line(s): manifest, marker and event lines only)";
 }
 
 TraceFile merge_traces(std::vector<TraceFile> files) {
@@ -130,6 +157,10 @@ TraceFile merge_traces(std::vector<TraceFile> files) {
       span.id = new_id;
       if (span.parent != 0) span.parent += base;
       merged.spans.push_back(std::move(span));
+    }
+    for (TraceEvent& event : file.events) {
+      if (event.span_id != 0) event.span_id += base;
+      merged.events.push_back(std::move(event));
     }
     base += max_id;
   }

@@ -1,9 +1,9 @@
 // JSONL trace reader: turns the stream a JsonlFileSink wrote back into
-// structured spans plus the run-provenance manifest.
+// structured spans and events plus the run-provenance manifest.
 //
 // Robustness contract (stocdr-obsctl must never crash on a trace): a line
 // that is empty is ignored; a line that is not valid JSON, not an object,
-// or lacks the required span fields is *skipped and counted* — a truncated
+// or neither a span nor an event is *skipped and counted* — a truncated
 // final line from a killed process is the expected case, not an error.
 #pragma once
 
@@ -36,6 +36,18 @@ struct TraceSpan {
   std::vector<std::pair<std::string, JsonValue>> attrs;
 };
 
+/// One event parsed back from a trace line (obs::evt::EventRecord on the
+/// emitting side).  Only `kind` is required; absent fields stay empty/0.
+struct TraceEvent {
+  std::string kind;
+  std::string severity;
+  std::uint64_t ts_ns = 0;  ///< wall CLOCK_REALTIME ns
+  std::uint32_t pid = 0;
+  std::string trace_id;
+  std::uint64_t span_id = 0;  ///< innermost open span at emission, 0 = none
+  std::vector<std::pair<std::string, JsonValue>> attrs;
+};
+
 /// One resolved cross-process parent->child link, as indices into
 /// TraceFile::spans (stable under the id renumbering merge_traces does).
 struct FlowLink {
@@ -51,6 +63,9 @@ struct TraceFile {
   bool has_manifest = false;
 
   std::vector<TraceSpan> spans;
+
+  /// Event lines in file order (merge_traces concatenates them per file).
+  std::vector<TraceEvent> events;
 
   /// Cross-process parent->child links stitched by merge_traces (empty for
   /// a single-file read; the Chrome exporter renders them as flow arrows).
@@ -83,9 +98,10 @@ struct TraceFile {
 ///     reference is stitched under the matching span of the spawning
 ///     process — its parent/depth are rewritten and the link is recorded
 ///     in TraceFile::flows for the Chrome exporter's flow arrows.
-/// The merged manifest is the first file's (workers inherit the parent's
-/// trace id, so any file's manifest identifies the run); line counts are
-/// summed and the first nonzero crash signal wins.
+/// Events are concatenated in file order with their span_id remapped like
+/// the span ids.  The merged manifest is the first file's (workers inherit
+/// the parent's trace id, so any file's manifest identifies the run); line
+/// counts are summed and the first nonzero crash signal wins.
 [[nodiscard]] TraceFile merge_traces(std::vector<TraceFile> files);
 
 }  // namespace stocdr::obs::analyze

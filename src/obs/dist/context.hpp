@@ -19,7 +19,7 @@
 // injects it as STOCDR_TRACE_PARENT into the child's environment.  On the
 // child side the first span of the process (parent_ == nullptr) records
 // the remote context as its cross-process parent, and the process adopts
-// the parent's trace_id — so spans and event-log records of the whole
+// the parent's trace_id — so span and event records of the whole
 // fleet carry one consistent trace_id.
 #pragma once
 

@@ -1,4 +1,3 @@
-#include "obs/dist/event_log.hpp"
 #include "obs/health/health.hpp"
 
 #include <algorithm>
@@ -8,6 +7,7 @@
 #include <string_view>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace stocdr::obs::health {
 

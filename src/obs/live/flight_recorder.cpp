@@ -54,6 +54,19 @@ FlightRecorder::FlightRecorder(std::size_t capacity, TraceSink* downstream)
   mem::report_component("obs.trace_ring", slots_.size() * sizeof(Slot));
 }
 
+void FlightRecorder::ring(const std::string& line) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::uint64_t seq = seq_.load(std::memory_order_relaxed);
+  Slot& slot = slots_[seq % slots_.size()];
+  // Publish protocol for the lock-free signal-handler reader: mark the
+  // slot empty, rewrite the text, then publish the new length.
+  slot.length.store(0, std::memory_order_release);
+  std::memcpy(slot.text, line.data(), line.size());
+  slot.length.store(static_cast<std::uint32_t>(line.size()),
+                    std::memory_order_release);
+  seq_.store(seq + 1, std::memory_order_release);
+}
+
 void FlightRecorder::on_span(const SpanRecord& span) {
   std::string line = span_to_jsonl(span);
   if (line.size() >= kSlotBytes) {
@@ -63,19 +76,19 @@ void FlightRecorder::on_span(const SpanRecord& span) {
     trimmed.attrs.clear();
     line = span_to_jsonl(trimmed);
   }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const std::uint64_t seq = seq_.load(std::memory_order_relaxed);
-    Slot& slot = slots_[seq % slots_.size()];
-    // Publish protocol for the lock-free signal-handler reader: mark the
-    // slot empty, rewrite the text, then publish the new length.
-    slot.length.store(0, std::memory_order_release);
-    std::memcpy(slot.text, line.data(), line.size());
-    slot.length.store(static_cast<std::uint32_t>(line.size()),
-                      std::memory_order_release);
-    seq_.store(seq + 1, std::memory_order_release);
-  }
+  ring(line);
   if (downstream_ != nullptr) downstream_->on_span(span);
+}
+
+void FlightRecorder::on_event(const evt::EventRecord& event) {
+  std::string line = event_to_jsonl(event);
+  if (line.size() >= kSlotBytes) {
+    evt::EventRecord trimmed = event;
+    trimmed.attrs.clear();
+    line = event_to_jsonl(trimmed);
+  }
+  ring(line);
+  if (downstream_ != nullptr) downstream_->on_event(event);
 }
 
 std::size_t FlightRecorder::dump(const std::string& path) const {

@@ -198,13 +198,16 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
     const std::lock_guard<std::mutex> lock(mutex_);
     out.reserve(counters_.size() + gauges_.size() + histograms_.size());
     for (const auto& entry : counters_) {
+      const std::uint64_t value = entry.metric->value();
+      if (value == 0) continue;
       MetricSample sample;
       sample.name = entry.name;
       sample.kind = MetricSample::Kind::kCounter;
-      sample.value = static_cast<double>(entry.metric->value());
+      sample.value = static_cast<double>(value);
       out.push_back(std::move(sample));
     }
     for (const auto& entry : gauges_) {
+      if (!entry.metric->is_set()) continue;
       MetricSample sample;
       sample.name = entry.name;
       sample.kind = MetricSample::Kind::kGauge;
@@ -212,6 +215,7 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
       out.push_back(std::move(sample));
     }
     for (const auto& entry : histograms_) {
+      if (entry.metric->count() == 0) continue;
       MetricSample sample;
       sample.name = entry.name;
       sample.kind = MetricSample::Kind::kHistogram;

@@ -6,7 +6,10 @@
 //     Counter&/Gauge&/Histogram& (addresses are stable for process lifetime);
 //   * registration is thread-safe (mutex-protected map, node-stable storage);
 //   * snapshot() is consistent enough for reporting (each value is read
-//     atomically; the set of metrics only grows).
+//     atomically; the set of metrics only grows) and carries only metrics
+//     that fired: a counter at 0, a histogram without observations, or a
+//     gauge not set since registration or the last reset_all() is absent,
+//     not zero.
 //
 // Naming convention: dotted lowercase paths, e.g. "solver.matvec",
 // "mg.level2.coarsen_ratio", "cdr.states".
@@ -40,14 +43,25 @@ class Counter {
 /// Last-value gauge (current level size, coarsening ratio, peak RSS).
 class Gauge {
  public:
-  void set(double v) { value_.store(v, std::memory_order_relaxed); }
+  void set(double v) {
+    value_.store(v, std::memory_order_relaxed);
+    set_.store(true, std::memory_order_relaxed);
+  }
   [[nodiscard]] double value() const {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() { value_.store(0.0, std::memory_order_relaxed); }
+  /// True once set() ran since construction or the last reset().
+  [[nodiscard]] bool is_set() const {
+    return set_.load(std::memory_order_relaxed);
+  }
+  void reset() {
+    value_.store(0.0, std::memory_order_relaxed);
+    set_.store(false, std::memory_order_relaxed);
+  }
 
  private:
   std::atomic<double> value_{0.0};
+  std::atomic<bool> set_{false};
 };
 
 /// Fixed log-bucket histogram with streaming count / sum / exact extrema and
@@ -156,7 +170,7 @@ class MetricsRegistry {
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
-  /// All metrics, sorted by name.
+  /// All metrics that fired (see the header comment), sorted by name.
   [[nodiscard]] std::vector<MetricSample> snapshot() const;
 
   /// Folds a snapshot from another process into this registry: counters

@@ -22,11 +22,18 @@ std::atomic<TraceSink*> g_sink{nullptr};
 
 /// Installed sinks are retired, not destroyed, when replaced: a thread may
 /// still hold the raw pointer inside an open Span.  The set is bounded by
-/// the number of install() calls (normally one).
+/// the number of install() calls (normally one).  At exit the sinks are
+/// destroyed (a JsonlFileSink commits its file then); the tracer is
+/// disabled first, so an event emitted meanwhile (a fault fired by that
+/// very commit) cannot reach a sink being torn down.
 std::mutex g_install_mutex;
+struct RetiredSinks {
+  std::vector<std::unique_ptr<TraceSink>> sinks;
+  ~RetiredSinks() { g_sink.store(nullptr, std::memory_order_release); }
+};
 std::vector<std::unique_ptr<TraceSink>>& retired_sinks() {
-  static std::vector<std::unique_ptr<TraceSink>> sinks;
-  return sinks;
+  static RetiredSinks retired;
+  return retired.sinks;
 }
 
 std::once_flag g_env_once;
@@ -223,6 +230,22 @@ void Span::end() {
   TraceSink* sink = sink_;
   sink_ = nullptr;  // idempotent: further calls are no-ops
   sink->on_span(record_);
+}
+
+void evt::publish(TraceSink& sink, std::string_view kind, Severity severity,
+                  Attrs attrs) {
+  EventRecord record;
+  record.kind = std::string(kind);
+  record.severity = severity;
+  record.ts_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count());
+  record.pid = dist::process_pid();
+  record.trace_id = dist::process_trace_id();
+  record.span_id = Tracer::current_span_id();
+  record.attrs = std::move(attrs);
+  sink.on_event(record);
 }
 
 }  // namespace stocdr::obs

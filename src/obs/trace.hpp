@@ -21,12 +21,18 @@
 //
 // Span ids are process-unique; parent/depth tracking is per-thread (a span
 // opened on one thread is never the parent of a span on another).
+//
+// Events (obs::evt::emit below) are the stream's second record kind: one
+// per notable condition, stamped and handed to the same sink, so a trace
+// file, a flight-recorder dump or the console interleaves them with the
+// spans around them.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 
 #include "obs/mem/mem.hpp"
 #include "obs/prof/perf.hpp"
@@ -122,5 +128,23 @@ class Span {
   bool mem_ = false;        // mem snapshotted; end() must accumulate
   mem::SpanStart mem_start_;
 };
+
+namespace evt {
+
+/// Stamps wall time, pid, trace id and the innermost open span id onto one
+/// event and hands it to `sink`.
+void publish(TraceSink& sink, std::string_view kind, Severity severity,
+             Attrs attrs);
+
+/// Emits one event into the trace stream.  With no sink installed this is
+/// the same Tracer::sink() check a disabled Span makes, and nothing else.
+inline void emit(std::string_view kind, Severity severity = Severity::kInfo,
+                 Attrs attrs = {}) {
+  if (TraceSink* sink = Tracer::sink()) {
+    publish(*sink, kind, severity, std::move(attrs));
+  }
+}
+
+}  // namespace evt
 
 }  // namespace stocdr::obs

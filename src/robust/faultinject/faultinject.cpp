@@ -7,8 +7,8 @@
 #include <memory>
 #include <mutex>
 
-#include "obs/dist/event_log.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "support/atomic_file.hpp"
 #include "support/error.hpp"
 
@@ -213,15 +213,10 @@ Action arm(std::string_view site) {
   std::fprintf(stderr, "stocdr: fault injected: site=%.*s action=%s hit=%llu\n",
                static_cast<int>(site.size()), site.data(), to_string(action),
                static_cast<unsigned long long>(hit));
-  // Site "event_append" is the event log's own write path: publishing a
-  // fault.fired record for it would re-arm the site from inside the log
-  // (the log's reentrancy guard would drop it anyway — skip the noise).
-  if (site != "event_append") {
-    obs::evt::emit("fault.fired", obs::evt::Severity::kWarning,
-                   {{"site", std::string(site)},
-                    {"action", std::string(to_string(action))},
-                    {"hit", hit}});
-  }
+  obs::evt::emit("fault.fired", obs::evt::Severity::kWarning,
+                 {{"site", std::string(site)},
+                  {"action", std::string(to_string(action))},
+                  {"hit", hit}});
   if (action == Action::kKill) {
     std::fflush(nullptr);  // a deterministic chaos kill, not a real crash:
     std::raise(SIGKILL);   // flush stdio so logs up to the kill survive

@@ -5,8 +5,8 @@
 #include <cstdio>
 
 #include "obs/analyze/json_parse.hpp"
-#include "obs/dist/event_log.hpp"
 #include "obs/json.hpp"
+#include "obs/trace.hpp"
 #include "robust/faultinject/faultinject.hpp"
 #include "support/atomic_file.hpp"
 #include "support/error.hpp"

@@ -3,9 +3,9 @@
 #include <chrono>
 
 #include "obs/analyze/json_parse.hpp"
-#include "obs/dist/event_log.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "robust/faultinject/faultinject.hpp"
 #include "support/atomic_file.hpp"
 #include "support/error.hpp"

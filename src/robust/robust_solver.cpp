@@ -7,7 +7,6 @@
 #include <memory>
 #include <utility>
 
-#include "obs/dist/event_log.hpp"
 #include "obs/live/flight_recorder.hpp"
 #include "obs/mem/capacity.hpp"
 #include "obs/metrics.hpp"

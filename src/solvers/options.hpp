@@ -32,7 +32,7 @@ struct SolverOptions {
 
   /// Optional per-iteration callback (see obs/progress.hpp).  Non-owning:
   /// the callable must outlive the solve.
-  obs::OptionalProgress progress;
+  obs::OptionalProgress progress{};
 };
 
 /// Upper bound on SolverStats::residual_history entries.

@@ -15,12 +15,13 @@ namespace {
 
 std::atomic<IoFaultHook> io_fault_hook{nullptr};
 
-}  // namespace
-
+/// Arms `site` against the installed hook (0 = no fault / no hook).
 int arm_io_fault(const char* site) {
   const IoFaultHook hook = io_fault_hook.load(std::memory_order_acquire);
   return hook != nullptr ? hook(site) : 0;
 }
+
+}  // namespace
 
 void set_io_fault_hook(IoFaultHook hook) {
   io_fault_hook.store(hook, std::memory_order_release);

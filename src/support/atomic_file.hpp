@@ -29,11 +29,6 @@ namespace stocdr {
 using IoFaultHook = int (*)(const char* site);
 void set_io_fault_hook(IoFaultHook hook);
 
-/// Arms `site` against the installed hook (0 = no fault / no hook).  Used
-/// by support- and obs-layer writers that cannot link the faultinject
-/// engine directly — e.g. the event log's "event_append" site.
-int arm_io_fault(const char* site);
-
 /// Writes `<path>.<pid>.tmp` and renames it to `<path>` on commit().  If
 /// the process dies before commit, the temporary is left behind and the
 /// target is untouched.  Destruction commits automatically (so RAII users —

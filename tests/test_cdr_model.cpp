@@ -99,7 +99,9 @@ TEST(CdrModelTest, DiscretizedModeBuilds) {
   config.nw_atoms = 9;
   const CdrModel model(config);
   EXPECT_EQ(model.network().num_components(), 6u);
-  EXPECT_NO_THROW(model.nw_source_index());
+  std::size_t nw_index = 0;
+  EXPECT_NO_THROW(nw_index = model.nw_source_index());
+  EXPECT_LT(nw_index, model.network().num_components());
   EXPECT_EQ(model.nw_values().size(), 9u);
   const CdrChain chain = model.build();
   EXPECT_LT(chain.chain().stochasticity_defect(), 1e-9);

@@ -26,14 +26,23 @@ struct Sweep {
 };
 
 std::string sweep_label(const Sweep& s) {
-  std::string name = "M" + std::to_string(s.phase_points) + "_V" +
-                     std::to_string(s.vco_phases) + "_N" +
-                     std::to_string(s.counter_length) +
-                     (s.filter == FilterType::kUpDownCounter ? "_ctr" : "_vote");
-  name += "_s" + std::to_string(static_cast<int>(s.sigma_nw * 1000));
-  name += "_d" + std::to_string(static_cast<int>(s.drift * 1000));
+  const auto milli = [](double v) {
+    return std::to_string(static_cast<int>(v * 1000));
+  };
+  std::string name = "M";
+  name += std::to_string(s.phase_points);
+  name += "_V";
+  name += std::to_string(s.vco_phases);
+  name += "_N";
+  name += std::to_string(s.counter_length);
+  name += s.filter == FilterType::kUpDownCounter ? "_ctr" : "_vote";
+  name += "_s";
+  name += milli(s.sigma_nw);
+  name += "_d";
+  name += milli(s.drift);
   if (s.dead_zone > 0) {
-    name += "_dz" + std::to_string(static_cast<int>(s.dead_zone * 1000));
+    name += "_dz";
+    name += milli(s.dead_zone);
   }
   return name;
 }

@@ -19,8 +19,11 @@ namespace stocdr::robust::ckpt {
 namespace {
 
 std::string temp_path(const std::string& file) {
-  return ::testing::TempDir() + "/" + file;
+  return test::unique_temp_path(file);
 }
+
+class CheckpointFileTest : public test::TempFilesTest {};
+class CheckpointRestoreTest : public test::TempFilesTest {};
 
 Checkpoint sample_checkpoint() {
   Checkpoint ckpt;
@@ -152,7 +155,7 @@ TEST(CheckpointFormatTest, RejectPredicateMatchesTheMatrix) {
 
 // --- file round trip and generations ----------------------------------------
 
-TEST(CheckpointFileTest, WriteThenLoadRoundTrips) {
+TEST_F(CheckpointFileTest, WriteThenLoadRoundTrips) {
   const std::string path = temp_path("stocdr_ckpt_roundtrip.bin");
   std::remove(path.c_str());
   const Checkpoint ckpt = sample_checkpoint();
@@ -163,20 +166,20 @@ TEST(CheckpointFileTest, WriteThenLoadRoundTrips) {
   EXPECT_EQ(r.checkpoint.iterate, ckpt.iterate);
 }
 
-TEST(CheckpointFileTest, MissingFileIsMissingNotReject) {
+TEST_F(CheckpointFileTest, MissingFileIsMissingNotReject) {
   const LoadResult r =
       load_checkpoint(temp_path("stocdr_ckpt_never_written.bin"), "", 0);
   EXPECT_EQ(r.status, LoadStatus::kMissing);
   EXPECT_FALSE(is_reject(r.status));
 }
 
-TEST(CheckpointFileTest, GenerationPathsAreStable) {
+TEST_F(CheckpointFileTest, GenerationPathsAreStable) {
   EXPECT_EQ(generation_path("ck.bin", 0), "ck.bin");
   EXPECT_EQ(generation_path("ck.bin", 1), "ck.bin.1");
   EXPECT_EQ(generation_path("ck.bin", 3), "ck.bin.3");
 }
 
-TEST(CheckpointFileTest, RotationKeepsTheNewestGenerations) {
+TEST_F(CheckpointFileTest, RotationKeepsTheNewestGenerations) {
   const std::string path = temp_path("stocdr_ckpt_rotate.bin");
   for (std::size_t g = 0; g < 4; ++g) {
     std::remove(generation_path(path, g).c_str());
@@ -195,7 +198,7 @@ TEST(CheckpointFileTest, RotationKeepsTheNewestGenerations) {
             LoadStatus::kMissing);
 }
 
-TEST(CheckpointFileTest, LoadLatestDegradesPastABadGeneration) {
+TEST_F(CheckpointFileTest, LoadLatestDegradesPastABadGeneration) {
   const std::string path = temp_path("stocdr_ckpt_degrade.bin");
   Checkpoint ckpt = sample_checkpoint();
   ckpt.iteration = 7;
@@ -217,7 +220,7 @@ TEST(CheckpointFileTest, LoadLatestDegradesPastABadGeneration) {
   EXPECT_NE(scan.reject_details[0].find(path), std::string::npos);
 }
 
-TEST(CheckpointFileTest, LoadLatestAllMissingIsAColdStart) {
+TEST_F(CheckpointFileTest, LoadLatestAllMissingIsAColdStart) {
   const RestoreScan scan =
       load_latest(temp_path("stocdr_ckpt_absent.bin"), 3, "", 0);
   EXPECT_EQ(scan.best.status, LoadStatus::kMissing);
@@ -226,7 +229,7 @@ TEST(CheckpointFileTest, LoadLatestAllMissingIsAColdStart) {
 
 // --- robust solver integration ----------------------------------------------
 
-TEST(CheckpointRestoreTest, SolvePersistsThenWarmRestarts) {
+TEST_F(CheckpointRestoreTest, SolvePersistsThenWarmRestarts) {
   const std::string path = temp_path("stocdr_ckpt_solver.bin");
   for (std::size_t g = 0; g < 4; ++g) {
     std::remove(generation_path(path, g).c_str());
@@ -258,7 +261,7 @@ TEST(CheckpointRestoreTest, SolvePersistsThenWarmRestarts) {
             std::string::npos);
 }
 
-TEST(CheckpointRestoreTest, MismatchedHashColdStartsAndCountsTheReject) {
+TEST_F(CheckpointRestoreTest, MismatchedHashColdStartsAndCountsTheReject) {
   const std::string path = temp_path("stocdr_ckpt_mismatch.bin");
   for (std::size_t g = 0; g < 4; ++g) {
     std::remove(generation_path(path, g).c_str());

@@ -86,7 +86,9 @@ TEST(CrossLayerTest, SaturatingCdrChainRecurrentClassIsSolvable) {
   EXPECT_LT(l1, 1e-8);
   // Transient states carry no stationary mass.
   for (std::size_t i = 0; i < chain.num_states(); ++i) {
-    if (!structure.recurrent[i]) EXPECT_LT(eta_full[i], 1e-10);
+    if (!structure.recurrent[i]) {
+      EXPECT_LT(eta_full[i], 1e-10);
+    }
   }
 }
 

@@ -12,13 +12,16 @@
 #include "robust/faultinject/faultinject.hpp"
 #include "support/atomic_file.hpp"
 #include "support/error.hpp"
+#include "test_util.hpp"
 
 namespace stocdr::robust::fi {
 namespace {
 
 std::string temp_path(const std::string& file) {
-  return ::testing::TempDir() + "/" + file;
+  return test::unique_temp_path(file);
 }
+
+class IoFaultTest : public test::TempFilesTest {};
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -133,7 +136,7 @@ TEST(GlobalPlanTest, InstallFireUninstall) {
 
 // --- io_write through AtomicFileWriter --------------------------------------
 
-TEST(IoFaultTest, InjectedFailLeavesTheTargetUntouched) {
+TEST_F(IoFaultTest, InjectedFailLeavesTheTargetUntouched) {
   const std::string path = temp_path("stocdr_fi_fail.txt");
   std::remove(path.c_str());
   PlanGuard guard(FaultPlan::parse("io_write:fail@1"));
@@ -143,7 +146,7 @@ TEST(IoFaultTest, InjectedFailLeavesTheTargetUntouched) {
   EXPECT_FALSE(std::ifstream(path).good());  // target was never created
 }
 
-TEST(IoFaultTest, InjectedTornCommitsAPrefix) {
+TEST_F(IoFaultTest, InjectedTornCommitsAPrefix) {
   const std::string path = temp_path("stocdr_fi_torn.txt");
   std::remove(path.c_str());
   const std::string payload = "0123456789abcdef0123456789abcdef";
@@ -158,7 +161,7 @@ TEST(IoFaultTest, InjectedTornCommitsAPrefix) {
   EXPECT_EQ(on_disk, payload.substr(0, on_disk.size()));
 }
 
-TEST(IoFaultTest, SecondCommitIsCleanAfterAOneShotFault) {
+TEST_F(IoFaultTest, SecondCommitIsCleanAfterAOneShotFault) {
   const std::string path = temp_path("stocdr_fi_retry.txt");
   std::remove(path.c_str());
   PlanGuard guard(FaultPlan::parse("io_write:fail@1"));
@@ -175,7 +178,7 @@ TEST(IoFaultTest, SecondCommitIsCleanAfterAOneShotFault) {
   EXPECT_EQ(read_file(path), "second try\n");
 }
 
-TEST(IoFaultTest, TempNameIsPidUnique) {
+TEST_F(IoFaultTest, TempNameIsPidUnique) {
   const std::string path = temp_path("stocdr_fi_temp.txt");
   AtomicFileWriter writer(path);
   EXPECT_NE(writer.temp_path().find(std::to_string(::getpid())),

@@ -18,6 +18,7 @@
 #include "obs/live/flight_recorder.hpp"
 #include "obs/sink.hpp"
 #include "obs/trace.hpp"
+#include "robust/faultinject/faultinject.hpp"
 #include "robust/robust_solver.hpp"
 #include "test_util.hpp"
 
@@ -150,6 +151,49 @@ TEST(FlightRecorderTest, SentinelTripDumpsTheRingIntoTheReport) {
   ASSERT_EQ(trace.spans.size(), 1u);
   EXPECT_EQ(trace.spans[0].name, "solver.progress");
   std::remove(result.report.flight_dump_path.c_str());
+}
+
+TEST(FlightRecorderTest, SentinelTripDumpHoldsTheEventsThatExplainIt) {
+  FlightRecorder::install(256);
+  { Span span("test.before_solve"); }
+  robust::fi::install_plan(robust::fi::FaultPlan::parse("solver:nan@3"));
+  const markov::MarkovChain chain(test::birth_death_pt(40, 0.3, 0.2));
+  robust::RobustOptions options;
+  options.ladder = {{robust::RungKind::kPower, 200, 0.9}};
+  options.flight_dump_path = test::unique_temp_path("sentinel_events.jsonl");
+  const robust::RobustResult result =
+      robust::solve_stationary_robust(chain, {}, options);
+  robust::fi::install_plan(std::nullopt);
+  FlightRecorder::set_active(nullptr);
+  Tracer::install(nullptr);
+  ASSERT_EQ(result.report.flight_dump_path, options.flight_dump_path);
+
+  // In line order: the span that ran before the solve, then the injected
+  // fault, then the rung failure it caused.
+  std::ifstream in(options.flight_dump_path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  const auto index_of = [&lines](const std::string& needle) {
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      if (lines[i].find(needle) != std::string::npos) return i;
+    }
+    return lines.size();
+  };
+  const std::size_t span = index_of("\"name\":\"test.before_solve\"");
+  const std::size_t fault = index_of("\"event\":\"fault.fired\"");
+  const std::size_t failure = index_of("\"event\":\"rung.failure\"");
+  ASSERT_LT(failure, lines.size());
+  EXPECT_LT(span, fault);
+  EXPECT_LT(fault, failure);
+
+  const analyze::TraceFile trace =
+      analyze::read_trace_file(options.flight_dump_path);
+  EXPECT_EQ(trace.skipped_lines, 0u);
+  ASSERT_GE(trace.events.size(), 2u);
+  EXPECT_EQ(trace.events[0].kind, "fault.fired");
+  EXPECT_EQ(trace.events[1].kind, "rung.failure");
+  EXPECT_EQ(trace.events[1].severity, "warning");
+  std::remove(options.flight_dump_path.c_str());
 }
 
 TEST(FlightRecorderTest, NoActiveRecorderMeansNoDump) {

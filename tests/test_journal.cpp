@@ -18,13 +18,17 @@
 #include "robust/journal/journal.hpp"
 #include "robust/journal/sweep.hpp"
 #include "support/error.hpp"
+#include "test_util.hpp"
 
 namespace stocdr::robust::jnl {
 namespace {
 
 std::string temp_path(const std::string& file) {
-  return ::testing::TempDir() + "/" + file;
+  return test::unique_temp_path(file);
 }
+
+class SweepJournalTest : public test::TempFilesTest {};
+class SweepRunnerTest : public test::TempFilesTest {};
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -47,7 +51,7 @@ std::string fresh_path(const std::string& file) {
 
 // --- open / append / reopen -------------------------------------------------
 
-TEST(SweepJournalTest, FreshJournalThenResume) {
+TEST_F(SweepJournalTest, FreshJournalThenResume) {
   const std::string path = fresh_path("stocdr_jnl_roundtrip.jsonl");
   {
     SweepJournal journal(path, "hash-a");
@@ -67,7 +71,7 @@ TEST(SweepJournalTest, FreshJournalThenResume) {
   EXPECT_EQ(*journal.result("p2"), "{\"v\":2}");
 }
 
-TEST(SweepJournalTest, DuplicateAppendIsAProgrammingError) {
+TEST_F(SweepJournalTest, DuplicateAppendIsAProgrammingError) {
   const std::string path = fresh_path("stocdr_jnl_dup.jsonl");
   SweepJournal journal(path, "hash-a");
   journal.append("p1", "{}");
@@ -76,7 +80,7 @@ TEST(SweepJournalTest, DuplicateAppendIsAProgrammingError) {
 
 // --- crash damage -----------------------------------------------------------
 
-TEST(SweepJournalTest, TornTailIsTruncatedAndCounted) {
+TEST_F(SweepJournalTest, TornTailIsTruncatedAndCounted) {
   const std::string path = fresh_path("stocdr_jnl_torn.jsonl");
   {
     SweepJournal journal(path, "hash-a");
@@ -99,7 +103,7 @@ TEST(SweepJournalTest, TornTailIsTruncatedAndCounted) {
   EXPECT_EQ(reopened.stats().torn_tail_bytes, 0u);
 }
 
-TEST(SweepJournalTest, MalformedTerminatedTailIsAlsoTorn) {
+TEST_F(SweepJournalTest, MalformedTerminatedTailIsAlsoTorn) {
   const std::string path = fresh_path("stocdr_jnl_torn_nl.jsonl");
   {
     SweepJournal journal(path, "hash-a");
@@ -112,7 +116,7 @@ TEST(SweepJournalTest, MalformedTerminatedTailIsAlsoTorn) {
   EXPECT_FALSE(journal.has("p2"));
 }
 
-TEST(SweepJournalTest, InteriorBitRotIsSkippedNotFatal) {
+TEST_F(SweepJournalTest, InteriorBitRotIsSkippedNotFatal) {
   const std::string path = fresh_path("stocdr_jnl_rot.jsonl");
   {
     SweepJournal journal(path, "hash-a");
@@ -128,7 +132,7 @@ TEST(SweepJournalTest, InteriorBitRotIsSkippedNotFatal) {
   EXPECT_TRUE(journal.has("p2"));
 }
 
-TEST(SweepJournalTest, ForeignConfigHashDiscardsTheJournal) {
+TEST_F(SweepJournalTest, ForeignConfigHashDiscardsTheJournal) {
   const std::string path = fresh_path("stocdr_jnl_mismatch.jsonl");
   {
     SweepJournal journal(path, "hash-a");
@@ -149,7 +153,7 @@ TEST(SweepJournalTest, ForeignConfigHashDiscardsTheJournal) {
 
 // --- journal v2: stats ledger, points_total, v1 compat ----------------------
 
-TEST(SweepJournalTest, VersionOneJournalStillReplays) {
+TEST_F(SweepJournalTest, VersionOneJournalStillReplays) {
   const std::string path = fresh_path("stocdr_jnl_v1.jsonl");
   // Hand-written v1 journal: no points_total, records without stats.
   append_raw(path,
@@ -178,7 +182,7 @@ TEST(SweepJournalTest, VersionOneJournalStillReplays) {
   EXPECT_DOUBLE_EQ(reopened.point_stats("p2")->wall_seconds, 1.5);
 }
 
-TEST(SweepJournalTest, FutureVersionIsDiscardedAsForeign) {
+TEST_F(SweepJournalTest, FutureVersionIsDiscardedAsForeign) {
   const std::string path = fresh_path("stocdr_jnl_v9.jsonl");
   append_raw(path,
              "{\"journal\":\"stocdr-sweep\",\"version\":9,"
@@ -190,7 +194,7 @@ TEST(SweepJournalTest, FutureVersionIsDiscardedAsForeign) {
   EXPECT_FALSE(journal.has("p1"));
 }
 
-TEST(SweepJournalTest, StatsAndPointsTotalRoundTrip) {
+TEST_F(SweepJournalTest, StatsAndPointsTotalRoundTrip) {
   const std::string path = fresh_path("stocdr_jnl_stats.jsonl");
   {
     SweepJournal journal(path, "hash-a", /*points_total=*/5);
@@ -224,7 +228,7 @@ std::string toy_result(const std::string& key) {
          std::to_string(key.size() * 10) + "}";
 }
 
-TEST(SweepRunnerTest, RunsEveryPointAndReplaysOnRerun) {
+TEST_F(SweepRunnerTest, RunsEveryPointAndReplaysOnRerun) {
   const std::string path = fresh_path("stocdr_sweep_run.jsonl");
   const std::vector<std::string> points = {"alpha", "beta", "gamma"};
 
@@ -244,7 +248,7 @@ TEST(SweepRunnerTest, RunsEveryPointAndReplaysOnRerun) {
   EXPECT_EQ(second.results, first.results);
 }
 
-TEST(SweepRunnerTest, RecordsLedgerStatsAndProgressGauges) {
+TEST_F(SweepRunnerTest, RecordsLedgerStatsAndProgressGauges) {
   const std::string path = fresh_path("stocdr_sweep_ledger.jsonl");
   const std::vector<std::string> points = {"alpha", "beta"};
   const SweepOutcome outcome = run_sweep(path, "hash-a", points, toy_result);
@@ -265,7 +269,7 @@ TEST(SweepRunnerTest, RecordsLedgerStatsAndProgressGauges) {
   EXPECT_DOUBLE_EQ(registry.gauge("sweep.eta_seconds").value(), 0.0);
 }
 
-TEST(SweepRunnerTest, ArtifactBytesAreDeterministic) {
+TEST_F(SweepRunnerTest, ArtifactBytesAreDeterministic) {
   const std::string journal = fresh_path("stocdr_sweep_art.jsonl");
   const std::string artifact = fresh_path("stocdr_sweep_art.json");
   const std::vector<std::string> points = {"alpha", "beta"};
@@ -286,7 +290,7 @@ TEST(SweepRunnerTest, ArtifactBytesAreDeterministic) {
 // seeded sweep_point:kill directive in a forked child), resume in the
 // parent, and require the final artifact to be byte-identical to an
 // uninterrupted run's.
-TEST(SweepRunnerTest, KillResumeArtifactIsByteIdentical) {
+TEST_F(SweepRunnerTest, KillResumeArtifactIsByteIdentical) {
   const std::string journal = fresh_path("stocdr_sweep_kill.jsonl");
   const std::string artifact = fresh_path("stocdr_sweep_kill.json");
   const std::vector<std::string> points = {"alpha", "beta", "gamma"};
@@ -323,7 +327,7 @@ TEST(SweepRunnerTest, KillResumeArtifactIsByteIdentical) {
 
 // A mid-append crash (torn journal line) must cost at most the one record:
 // the rerun re-solves that point and the artifact still comes out right.
-TEST(SweepRunnerTest, TornAppendLosesOnlyThatPoint) {
+TEST_F(SweepRunnerTest, TornAppendLosesOnlyThatPoint) {
   const std::string path = fresh_path("stocdr_sweep_tornapp.jsonl");
   const std::vector<std::string> points = {"alpha", "beta"};
 

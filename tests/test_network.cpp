@@ -145,7 +145,9 @@ TEST(ComposeTest, ProbabilitySumsValidated) {
 TEST(ComposeTest, MaxStatesGuard) {
   Network net;
   for (int i = 0; i < 4; ++i) {
-    net.add_component(two_state_source("s" + std::to_string(i), 0.5, 0.5));
+    std::string name = "s";
+    name += std::to_string(i);
+    net.add_component(two_state_source(name, 0.5, 0.5));
   }
   ComposeOptions options;
   options.max_states = 8;  // 16 reachable

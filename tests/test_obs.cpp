@@ -206,6 +206,32 @@ TEST(MetricsRegistryTest, SnapshotIsSortedByName) {
   }
 }
 
+TEST(MetricsRegistryTest, SnapshotOmitsMetricsThatDidNotFire) {
+  auto& registry = MetricsRegistry::instance();
+  registry.counter("obs.test.ghost_counter").add(4);
+  registry.gauge("obs.test.ghost_gauge").set(2.0);
+  registry.histogram("obs.test.ghost_histogram").observe(1.0);
+  registry.counter("obs.test.idle_counter");
+  registry.gauge("obs.test.idle_gauge");
+  registry.histogram("obs.test.idle_histogram");
+  registry.reset_all();
+  registry.gauge("obs.test.zero_gauge").set(0.0);
+  const auto samples = registry.snapshot();
+  const auto has = [&samples](const char* name) {
+    return std::any_of(samples.begin(), samples.end(),
+                       [name](const MetricSample& s) { return s.name == name; });
+  };
+  // Absent, not zero: reset since they fired, or never fired at all.
+  EXPECT_FALSE(has("obs.test.ghost_counter"));
+  EXPECT_FALSE(has("obs.test.ghost_gauge"));
+  EXPECT_FALSE(has("obs.test.ghost_histogram"));
+  EXPECT_FALSE(has("obs.test.idle_counter"));
+  EXPECT_FALSE(has("obs.test.idle_gauge"));
+  EXPECT_FALSE(has("obs.test.idle_histogram"));
+  // A gauge set to 0 is a reading, and stays.
+  EXPECT_TRUE(has("obs.test.zero_gauge"));
+}
+
 TEST(MetricsRegistryTest, SnapshotCarriesHistogramQuantiles) {
   auto& registry = MetricsRegistry::instance();
   auto& histogram = registry.histogram("obs.test.quantiles");

@@ -415,7 +415,9 @@ TEST(BenchDiffTest, IdenticalArtifactsDoNotRegress) {
   EXPECT_NE(report.notes[1].find("memory telemetry absent"),
             std::string::npos);
   for (const MetricDelta& delta : report.deltas) {
-    if (delta.present) EXPECT_DOUBLE_EQ(delta.change, 0.0);
+    if (delta.present) {
+      EXPECT_DOUBLE_EQ(delta.change, 0.0);
+    }
   }
 }
 

@@ -399,29 +399,34 @@ TEST(ObsctlCliTest, FleetWithOnlyIncompleteSnapshotsExitsThree) {
 
 // --- events -----------------------------------------------------------------
 
-const char kEventLog[] =
+// A trace file: manifest, a span, and event lines between and after it.
+const char kEventTrace[] =
+    "{\"manifest\":{\"git_sha\":\"abc\",\"build_type\":\"Release\"}}\n"
     "{\"event\":\"sweep.start\",\"severity\":\"info\",\"ts_ns\":1000000000,"
     "\"pid\":42,\"trace_id\":\"00000000000000ab\",\"span_id\":1,"
     "\"attrs\":{\"points_total\":3}}\n"
+    "{\"name\":\"solve\",\"id\":1,\"parent\":0,\"depth\":0,\"tid\":1,"
+    "\"pid\":42,\"ts_ns\":0,\"dur_ns\":1000}\n"
     "{\"event\":\"sweep.done\",\"severity\":\"info\",\"ts_ns\":2500000000,"
-    "\"pid\":42,\"trace_id\":\"00000000000000ab\",\"span_id\":1}\n";
+    "\"pid\":42,\"trace_id\":\"00000000000000ab\",\"span_id\":0}\n";
 
 TEST(ObsctlCliTest, EventsPrettyPrintsRecordsAndExitsZero) {
   const std::string path = temp_path("stocdr_events_ok.jsonl");
-  write_file(path, kEventLog);
+  write_file(path, kEventTrace);
   std::string output;
   EXPECT_EQ(run_obsctl("events " + path, &output), 0);
   EXPECT_NE(output.find("sweep.start"), std::string::npos);
   EXPECT_NE(output.find("points_total=3"), std::string::npos);
   EXPECT_NE(output.find("+1.500s"), std::string::npos);  // relative time
   EXPECT_NE(output.find("events: 2  alarms: 0"), std::string::npos);
+  EXPECT_EQ(output.find("malformed"), std::string::npos);
   std::remove(path.c_str());
 }
 
 TEST(ObsctlCliTest, EventsAlarmSeverityExitsOne) {
   const std::string path = temp_path("stocdr_events_alarm.jsonl");
   write_file(path,
-             std::string(kEventLog) +
+             std::string(kEventTrace) +
                  "{\"event\":\"health.mass_alarm\",\"severity\":\"alarm\","
                  "\"ts_ns\":3000000000,\"pid\":42,"
                  "\"trace_id\":\"00000000000000ab\",\"span_id\":0}\n");
@@ -434,8 +439,8 @@ TEST(ObsctlCliTest, EventsAlarmSeverityExitsOne) {
 
 TEST(ObsctlCliTest, EventsKindFilterAndTornTailAreHandled) {
   const std::string path = temp_path("stocdr_events_filter.jsonl");
-  // A torn final line, exactly as a crash mid-append leaves it.
-  write_file(path, std::string(kEventLog) + "{\"event\":\"half");
+  // A torn final line, exactly as a crash mid-write leaves it.
+  write_file(path, std::string(kEventTrace) + "{\"event\":\"half");
   std::string output;
   EXPECT_EQ(run_obsctl("events " + path + " --kind sweep.done", &output), 0);
   EXPECT_NE(output.find("events: 1"), std::string::npos);
@@ -448,7 +453,60 @@ TEST(ObsctlCliTest, EventsKindFilterAndTornTailAreHandled) {
 TEST(ObsctlCliTest, EventsMissingFileExitsThreeWithHint) {
   std::string output;
   EXPECT_EQ(run_obsctl("events " + temp_path("no_events.jsonl"), &output), 3);
-  EXPECT_NE(output.find("STOCDR_EVENT_LOG"), std::string::npos);
+  EXPECT_NE(output.find("STOCDR_TRACE_FILE"), std::string::npos);
+}
+
+TEST(ObsctlCliTest, EventsMergesTraceFilesInWallTimeOrder) {
+  // Two workers' trace files whose events interleave in wall time.
+  const std::string a = temp_path("stocdr_events_merge.jsonl");
+  const std::string b = a + ".shard1";
+  const auto event = [](const char* kind, int ts_s, int pid) {
+    return "{\"event\":\"" + std::string(kind) +
+           "\",\"severity\":\"info\",\"ts_ns\":" + std::to_string(ts_s) +
+           "000000000,\"pid\":" + std::to_string(pid) +
+           ",\"trace_id\":\"00000000000000ab\",\"span_id\":0}\n";
+  };
+  write_file(a, event("first.a", 1, 101) + event("third.a", 3, 101));
+  write_file(b, event("second.b", 2, 202) + event("fourth.b", 4, 202));
+  std::string output;
+  EXPECT_EQ(run_obsctl("events '" + a + "*'", &output), 0);
+  const std::size_t p1 = output.find("first.a");
+  const std::size_t p2 = output.find("second.b");
+  const std::size_t p3 = output.find("third.a");
+  const std::size_t p4 = output.find("fourth.b");
+  ASSERT_NE(p1, std::string::npos);
+  ASSERT_NE(p2, std::string::npos);
+  ASSERT_NE(p3, std::string::npos);
+  ASSERT_NE(p4, std::string::npos);
+  EXPECT_LT(p1, p2);
+  EXPECT_LT(p2, p3);
+  EXPECT_LT(p3, p4);
+  EXPECT_NE(output.find("202"), std::string::npos);
+  EXPECT_NE(output.find("+3.000s"), std::string::npos);
+  EXPECT_NE(output.find("events: 4  alarms: 0"), std::string::npos);
+  std::remove(a.c_str());
+  std::remove(b.c_str());
+}
+
+TEST(ObsctlCliTest, SummarizeIgnoresEventLinesInATrace) {
+  const std::string spans = temp_path("stocdr_summarize_spans.jsonl");
+  const std::string mixed = temp_path("stocdr_summarize_mixed.jsonl");
+  const std::string event =
+      "{\"event\":\"rung.failure\",\"severity\":\"warning\","
+      "\"ts_ns\":1000000000,\"pid\":42,\"trace_id\":\"00000000000000ab\","
+      "\"span_id\":1,\"attrs\":{\"method\":\"power\"}}\n";
+  write_file(spans, kValidTrace);
+  write_file(mixed, event + kValidTrace + event);
+  std::string span_only;
+  std::string with_events;
+  EXPECT_EQ(run_obsctl("summarize --json " + spans, &span_only), 0);
+  EXPECT_EQ(run_obsctl("summarize --json " + mixed, &with_events), 0);
+  EXPECT_EQ(with_events, span_only);
+  EXPECT_EQ(run_obsctl("summarize " + mixed, &with_events), 0);
+  EXPECT_EQ(with_events.find("malformed"), std::string::npos);
+  EXPECT_NE(with_events.find("spans: 2"), std::string::npos);
+  std::remove(spans.c_str());
+  std::remove(mixed.c_str());
 }
 
 // --- journal v2 ledger ------------------------------------------------------

@@ -31,26 +31,29 @@ std::vector<double> dense_hitting_reference(const MarkovChain& chain,
     if (!target[i]) kept.push_back(i);
   }
   const std::size_t m = kept.size();
-  // Build I - Q densely.
-  std::vector<std::vector<double>> a(m, std::vector<double>(m, 0.0));
-  for (std::size_t r = 0; r < m; ++r) a[r][r] = 1.0;
+  // Build I - Q densely (row-major).
+  std::vector<double> a(m * m, 0.0);
+  const auto at = [&a, m](std::size_t r, std::size_t c) -> double& {
+    return a[r * m + c];
+  };
+  for (std::size_t r = 0; r < m; ++r) at(r, r) = 1.0;
   for (std::size_t r = 0; r < m; ++r) {
     for (std::size_t c = 0; c < m; ++c) {
-      a[r][c] -= chain.probability(kept[r], kept[c]);
+      at(r, c) -= chain.probability(kept[r], kept[c]);
     }
   }
   std::vector<double> t(m, 1.0);
   // Naive Gaussian elimination (fine for test sizes).
   for (std::size_t k = 0; k < m; ++k) {
     for (std::size_t r = k + 1; r < m; ++r) {
-      const double f = a[r][k] / a[k][k];
-      for (std::size_t c = k; c < m; ++c) a[r][c] -= f * a[k][c];
+      const double f = at(r, k) / at(k, k);
+      for (std::size_t c = k; c < m; ++c) at(r, c) -= f * at(k, c);
       t[r] -= f * t[k];
     }
   }
   for (std::size_t k = m; k-- > 0;) {
-    for (std::size_t c = k + 1; c < m; ++c) t[k] -= a[k][c] * t[c];
-    t[k] /= a[k][k];
+    for (std::size_t c = k + 1; c < m; ++c) t[k] -= at(k, c) * t[c];
+    t[k] /= at(k, k);
   }
   std::vector<double> full(n, 0.0);
   for (std::size_t r = 0; r < m; ++r) full[kept[r]] = t[r];

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -99,19 +100,43 @@ inline std::vector<double> birth_death_stationary(std::size_t n, double p,
   return eta;
 }
 
-/// A path under ::testing::TempDir() for `file` that no other test process
+/// The path prefix under ::testing::TempDir() that no other test process
 /// shares.  ctest runs every test of a binary as its own process out of one
 /// directory, and two builds' suites may run side by side, so the name
 /// carries the pid and the running test's name.
-inline std::string unique_temp_path(const std::string& file) {
+inline std::string unique_temp_prefix() {
   std::string name = "stocdr_" + std::to_string(::getpid());
   if (const ::testing::TestInfo* info =
           ::testing::UnitTest::GetInstance()->current_test_info()) {
     name += std::string("_") + info->test_suite_name() + "_" + info->name();
   }
   std::replace(name.begin(), name.end(), '/', '_');
-  return ::testing::TempDir() + "/" + name + "_" + file;
+  return ::testing::TempDir() + "/" + name + "_";
 }
+
+/// A path for `file` under the running test's unique_temp_prefix().
+inline std::string unique_temp_path(const std::string& file) {
+  return unique_temp_prefix() + file;
+}
+
+/// Fixture base that removes every file starting with the test's
+/// unique_temp_prefix() when the test ends, so the files a test derives
+/// from its own paths go too: checkpoint generations (`<path>.1`), sweep
+/// artifacts, and writer temporaries (`<path>.<pid>.tmp`).
+class TempFilesTest : public ::testing::Test {
+ protected:
+  ~TempFilesTest() override {
+    const std::filesystem::path prefix = unique_temp_prefix();
+    const std::string stem = prefix.filename().string();
+    std::error_code ec;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(prefix.parent_path(), ec)) {
+      if (entry.path().filename().string().rfind(stem, 0) == 0) {
+        std::filesystem::remove(entry.path(), ec);
+      }
+    }
+  }
+};
 
 /// L1 distance between two vectors.
 inline double l1(const std::vector<double>& a, const std::vector<double>& b) {

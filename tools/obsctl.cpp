@@ -33,9 +33,11 @@
 //                                            snapshots into one dashboard
 //                                            (exact histogram merge) with
 //                                            per-worker staleness
-//   events     <events.jsonl> [--kind K]     pretty-print the unified event
-//                                            log; exits 1 when any alarm-
-//                                            severity record is present
+//   events     <trace.jsonl>... [--kind K]   pretty-print the event records
+//                                            of one or more traces, merged
+//                                            and ordered by wall time; exits
+//                                            1 when any alarm-severity
+//                                            record is shown
 //   journal    <sweep.jsonl>                 inspect a resumable sweep
 //                                            journal (read-only: header,
 //                                            completed points, damage,
@@ -48,13 +50,14 @@
 // validation, 2 usage or I/O error, 3 input exists but holds no data for
 // the command (empty / malformed-only / marker-only trace — for multi-file
 // commands only when NO file yields data — a BENCH artifact without a perf
-// or mem section, a fleet with no complete snapshot, an event log with no
-// matching records, or a journal with no completed points — diagnostic on
-// stderr).
+// or mem section, a fleet with no complete snapshot, traces with no
+// matching event records, or a journal with no completed points —
+// diagnostic on stderr).
 // Malformed trace lines are skipped and counted, never fatal.
 #include <glob.h>
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -101,7 +104,7 @@ int usage(std::FILE* out) {
                "  health     <metrics.om>\n"
                "  watch      <metrics.om> [--interval MS] [--count N]\n"
                "  fleet      <metrics.om>... [--stale-seconds S]\n"
-               "  events     <events.jsonl> [--kind K]\n"
+               "  events     <trace.jsonl>... [--kind K]\n"
                "  journal    <sweep.jsonl>\n"
                "  checkpoint <file>\n");
   return out == stdout ? 0 : 2;
@@ -142,13 +145,14 @@ std::vector<std::string> expand_globs(
   return paths;
 }
 
-/// Loads one or more traces for summarize/flame/chrome, merging multiple
-/// files (one per worker process) via merge_traces.  Unreadable files are
-/// skipped with a warning and malformed lines counted per file; exit code
-/// 3 only when NO file yields a usable span (distinct from 2 so scripts
-/// can tell "nothing was recorded" apart from usage mistakes).
-std::optional<TraceFile> load_traces(
-    const std::vector<std::string>& patterns, int& rc) {
+/// Loads one or more traces, merging multiple files (one per worker
+/// process) via merge_traces.  Unreadable files are skipped with a warning
+/// and malformed lines counted per file; exit code 3 when NO file is
+/// readable or, with `need_spans` (summarize/flame/chrome), when none
+/// yields a usable span (distinct from 2 so scripts can tell "nothing was
+/// recorded" apart from usage mistakes).
+std::optional<TraceFile> load_traces(const std::vector<std::string>& patterns,
+                                     int& rc, bool need_spans = true) {
   const std::vector<std::string> paths = expand_globs(patterns);
   std::vector<TraceFile> files;
   for (const std::string& path : paths) {
@@ -174,7 +178,8 @@ std::optional<TraceFile> load_traces(
   }
   TraceFile merged = files.size() == 1 ? std::move(files.front())
                                        : merge_traces(std::move(files));
-  if (std::optional<std::string> reason = empty_trace_reason(merged)) {
+  if (std::optional<std::string> reason = empty_trace_reason(merged);
+      reason && need_spans) {
     std::fprintf(stderr, "obsctl: %s\n", reason->c_str());
     rc = 3;
     return std::nullopt;
@@ -825,12 +830,12 @@ int cmd_fleet(int argc, char** argv) {
   return 0;
 }
 
-/// Pretty-prints the unified event log (obs/dist/event_log.hpp).  Read-only
-/// line-by-line JSONL parse; malformed lines (torn tails) are counted and
-/// skipped.  Exit 1 when any displayed record has alarm severity — the CI
-/// shape for "the sweep finished but a health monitor fired".
+/// Pretty-prints the event records of one or more traces, merged and
+/// ordered by wall time.  Exit 1 when any displayed record has alarm
+/// severity — the CI shape for "the sweep finished but a health monitor
+/// fired".
 int cmd_events(int argc, char** argv) {
-  std::string path;
+  std::vector<std::string> paths;
   std::string kind_filter;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -842,93 +847,51 @@ int cmd_events(int argc, char** argv) {
       kind_filter = argv[++i];
     } else if (!arg.empty() && arg[0] == '-') {
       return usage(stderr);
-    } else if (path.empty()) {
-      path = arg;
     } else {
-      return usage(stderr);
+      paths.push_back(arg);
     }
   }
-  if (path.empty()) return usage(stderr);
+  if (paths.empty()) return usage(stderr);
 
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    std::fprintf(stderr,
-                 "obsctl: no event log at %s — was STOCDR_EVENT_LOG set?\n",
-                 path.c_str());
-    return 3;
-  }
-
-  struct Row {
-    std::uint64_t ts_ns;
-    std::string severity;
-    std::string pid;
-    std::string kind;
-    std::string attrs;
-    bool alarm;
-  };
-  std::vector<Row> rows;
-  std::size_t malformed = 0;
-  std::size_t alarms = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const bool terminated = !in.eof();  // getline at EOF = no trailing '\n'
-    const std::optional<JsonValue> parsed = parse_json(line);
-    const JsonValue* kind =
-        parsed.has_value() && parsed->is_object() ? parsed->find("event")
-                                                  : nullptr;
-    if (!terminated || kind == nullptr ||
-        kind->type != JsonValue::Type::kString) {
-      ++malformed;  // torn tail or foreign line: skip, never fatal
-      continue;
+  int rc = 0;
+  const std::optional<TraceFile> trace =
+      load_traces(paths, rc, /*need_spans=*/false);
+  if (!trace) return rc;
+  std::vector<const TraceEvent*> rows;
+  for (const TraceEvent& event : trace->events) {
+    if (kind_filter.empty() || event.kind == kind_filter) {
+      rows.push_back(&event);
     }
-    if (!kind_filter.empty() && kind->string != kind_filter) continue;
-    Row row;
-    row.kind = kind->string;
-    const JsonValue* severity = parsed->find("severity");
-    row.severity =
-        severity == nullptr ? "?" : std::string(severity->string_or("?"));
-    row.alarm = row.severity == "alarm";
-    if (row.alarm) ++alarms;
-    const JsonValue* ts = parsed->find("ts_ns");
-    row.ts_ns = ts == nullptr ? 0 : ts->uint_or(0);
-    const JsonValue* pid = parsed->find("pid");
-    row.pid = pid == nullptr ? "-" : std::to_string(pid->uint_or(0));
-    if (const JsonValue* attrs = parsed->find("attrs");
-        attrs != nullptr && attrs->is_object()) {
-      std::string joined;
-      for (const auto& [key, value] : attrs->object) {
-        if (!joined.empty()) joined += "  ";
-        joined += key;
-        joined += '=';
-        joined += value.type == JsonValue::Type::kString
-                      ? value.string
-                      : to_json_text(value);
-      }
-      row.attrs = std::move(joined);
-    }
-    rows.push_back(std::move(row));
-  }
-  if (malformed > 0) {
-    std::fprintf(stderr, "obsctl: skipped %zu malformed line(s)\n", malformed);
   }
   if (rows.empty()) {
-    std::fprintf(stderr, "obsctl: %s holds no%s event records\n", path.c_str(),
-                 kind_filter.empty()
-                     ? ""
-                     : (" \"" + kind_filter + "\"").c_str());
+    std::fprintf(stderr, "obsctl: no%s event records in %zu trace file(s)\n",
+                 kind_filter.empty() ? ""
+                                     : (" \"" + kind_filter + "\"").c_str(),
+                 paths.size());
     return 3;
   }
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const TraceEvent* a, const TraceEvent* b) {
+                     return a->ts_ns < b->ts_ns;
+                   });
 
-  const std::uint64_t t0 = rows.front().ts_ns;
+  const std::uint64_t t0 = rows.front()->ts_ns;
+  std::size_t alarms = 0;
   TextTable table({"t", "severity", "pid", "event", "attrs"});
-  for (const Row& row : rows) {
+  for (const TraceEvent* event : rows) {
+    if (event->severity == "alarm") ++alarms;
+    std::string attrs;
+    for (const auto& [key, value] : event->attrs) {
+      if (!attrs.empty()) attrs += "  ";
+      attrs += key + '=' +
+               (value.type == JsonValue::Type::kString ? value.string
+                                                       : to_json_text(value));
+    }
     char rel[64];
     std::snprintf(rel, sizeof rel, "+%.3fs",
-                  row.ts_ns >= t0
-                      ? static_cast<double>(row.ts_ns - t0) * 1e-9
-                      : 0.0);
-    table.add_row({rel, row.severity, row.pid, row.kind, row.attrs});
+                  static_cast<double>(event->ts_ns - t0) * 1e-9);
+    table.add_row({rel, event->severity.empty() ? "?" : event->severity,
+                   std::to_string(event->pid), event->kind, attrs});
   }
   std::printf("%s", table.render().c_str());
   std::printf("events: %zu  alarms: %zu\n", rows.size(), alarms);
