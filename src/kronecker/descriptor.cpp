@@ -1,6 +1,7 @@
 #include "kronecker/descriptor.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "kronecker/kron.hpp"
 
@@ -33,17 +34,32 @@ bool is_identity(const sparse::CsrMatrix& m) {
 /// each output element is owned by exactly one (i, r) pair and accumulates
 /// its factor entries in the serial row order, so any partition over
 /// (l, r0..r1) blocks reproduces the serial result bit for bit.
+///
+/// With right == 1 the block is a plain CSR SpMV: each row's sum builds in
+/// a register (the same additions in the same order as the streaming form,
+/// which would round-trip every partial sum through out[i]).
 void gather_block(const sparse::CsrMatrix& m, const double* in, double* out,
                   std::size_t right, std::size_t r0, std::size_t r1) {
   const std::size_t n = m.rows();
+  const std::uint32_t* row_ptr = m.row_ptr().data();
+  const std::uint32_t* cols = m.col_idx().data();
+  const double* vals = m.values().data();
+  if (right == 1) {
+    for (std::size_t i = 0; i < n; ++i) {
+      double acc = 0.0;
+      for (std::uint32_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
+        acc += vals[k] * in[cols[k]];
+      }
+      out[i] = acc;
+    }
+    return;
+  }
   for (std::size_t i = 0; i < n; ++i) {
     double* dst = out + i * right;
     std::fill(dst + r0, dst + r1, 0.0);
-    const auto cols = m.row_cols(i);
-    const auto vals = m.row_values(i);
-    for (std::size_t k = 0; k < cols.size(); ++k) {
+    for (std::uint32_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
       const double v = vals[k];
-      const double* src = in + cols[k] * right;
+      const double* src = in + std::size_t{cols[k]} * right;
       for (std::size_t r = r0; r < r1; ++r) dst[r] += v * src[r];
     }
   }
@@ -52,22 +68,34 @@ void gather_block(const sparse::CsrMatrix& m, const double* in, double* out,
 /// Scatter (transpose) form: out(col_k, r) += v_k * in(i, r).  An output
 /// element can receive several (i, k) contributions; they arrive in the
 /// serial lexicographic (i, k) order within the block, and blocks own
-/// disjoint output slices — the PR-4 lane-merge discipline extended to the
-/// per-factor scatter stage.
+/// disjoint output slices, so the result is the serial one at any lane
+/// count.  With right == 1, in(i) stays in a register across row i's
+/// entries.
 void scatter_block(const sparse::CsrMatrix& m, const double* in, double* out,
                    std::size_t right, std::size_t r0, std::size_t r1) {
   const std::size_t n = m.rows();
+  const std::uint32_t* row_ptr = m.row_ptr().data();
+  const std::uint32_t* cols = m.col_idx().data();
+  const double* vals = m.values().data();
+  if (right == 1) {
+    std::fill(out, out + n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double x = in[i];
+      for (std::uint32_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
+        out[cols[k]] += vals[k] * x;
+      }
+    }
+    return;
+  }
   for (std::size_t i = 0; i < n; ++i) {
     double* z = out + i * right;
     std::fill(z + r0, z + r1, 0.0);
   }
   for (std::size_t i = 0; i < n; ++i) {
     const double* src = in + i * right;
-    const auto cols = m.row_cols(i);
-    const auto vals = m.row_values(i);
-    for (std::size_t k = 0; k < cols.size(); ++k) {
+    for (std::uint32_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
       const double v = vals[k];
-      double* dst = out + cols[k] * right;
+      double* dst = out + std::size_t{cols[k]} * right;
       for (std::size_t r = r0; r < r1; ++r) dst[r] += v * src[r];
     }
   }

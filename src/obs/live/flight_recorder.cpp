@@ -110,6 +110,15 @@ std::size_t FlightRecorder::dump(const std::string& path) const {
       ++written;
     }
   }
+  // A span is ringed only when it ends, so the ones enclosing this dump
+  // (the failing rung, the solve around it) would be missing, and events
+  // stamped with their ids would resolve to nothing.
+  for (SpanRecord& span : Tracer::open_spans()) {
+    span.attrs.emplace_back("open", std::string("true"));
+    writer.write(span_to_jsonl(span));
+    writer.write("\n");
+    ++written;
+  }
   writer.commit();
   return written;
 }

@@ -51,14 +51,18 @@ class FlightRecorder final : public TraceSink {
   void on_event(const evt::EventRecord& event) override;
 
   /// Writes the ring — manifest line first, then the retained records
-  /// oldest to newest — to `path` via atomic temp+rename.  Returns the
-  /// number of record lines written.  Throws stocdr::IoError on I/O
-  /// failure.
+  /// oldest to newest — to `path` via atomic temp+rename, followed by one
+  /// span line per span still open on the calling thread (outermost first,
+  /// ending at the dump, attribute "open": "true"), so every event in the
+  /// ring that names an enclosing span resolves.  Returns the number of
+  /// record lines written.  Throws stocdr::IoError on I/O failure.
   std::size_t dump(const std::string& path) const;
 
   /// Async-signal-safe dump to an already-open file descriptor: no locks,
   /// no allocation, only write(2) of the pre-rendered slots.  Records being
   /// rewritten concurrently by another thread are skipped (zero-length).
+  /// Open spans are left out: rendering them allocates, which a signal
+  /// handler must not do.
   void dump_to_fd(int fd) const;
 
   [[nodiscard]] std::size_t capacity() const { return slots_.size(); }

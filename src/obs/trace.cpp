@@ -1,5 +1,6 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <chrono>
@@ -116,6 +117,18 @@ TraceSink* Tracer::sink() {
 
 std::uint64_t Tracer::current_span_id() {
   return t_current_span != nullptr ? t_current_span->id() : 0;
+}
+
+std::vector<SpanRecord> Tracer::open_spans() {
+  std::vector<SpanRecord> open;
+  const std::uint64_t now = now_ns();
+  for (const Span* span = t_current_span; span != nullptr;
+       span = span->parent_) {
+    open.push_back(span->record_);
+    open.back().duration_ns = now - span->record_.start_ns;
+  }
+  std::reverse(open.begin(), open.end());
+  return open;
 }
 
 std::uint64_t Tracer::now_ns() {

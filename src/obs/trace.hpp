@@ -33,6 +33,7 @@
 #include <string_view>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "obs/mem/mem.hpp"
 #include "obs/prof/perf.hpp"
@@ -65,6 +66,11 @@ class Tracer {
   /// (obs/dist/context.hpp) exports this so a spawned child's root spans
   /// can link under the spawning span.
   static std::uint64_t current_span_id();
+
+  /// The spans still open on the calling thread, outermost first, each as
+  /// the record it would end with now (duration up to this call, the
+  /// attributes attached so far).  Empty when none is open.
+  static std::vector<SpanRecord> open_spans();
 };
 
 /// RAII scoped span.  Cheap to construct when tracing is disabled; when
@@ -107,6 +113,8 @@ class Span {
   [[nodiscard]] std::uint64_t id() const { return record_.id; }
 
  private:
+  friend class Tracer;  // open_spans() reads the per-thread chain
+
   TraceSink* sink_;       // nullptr = disabled span, all calls no-ops
   SpanRecord record_;     // only `name` is set when disabled
   Span* parent_ = nullptr;

@@ -65,10 +65,21 @@ double l1_distance(std::span<const double> a, std::span<const double> b) {
 
 double dot(std::span<const double> a, std::span<const double> b) {
   STOCDR_REQUIRE(a.size() == b.size(), "dot requires equal sizes");
-  const auto lane_dot = [&](std::size_t begin, std::size_t end) {
-    double s = 0.0;
-    for (std::size_t i = begin; i < end; ++i) s += a[i] * b[i];
-    return s;
+  // Four interleaved partial sums break the one add chain a single
+  // accumulator serializes on; the remainder joins s0 before the fixed
+  // (s0 + s1) + (s2 + s3) combine.
+  const auto lane_dot = [pa = a.data(), pb = b.data()](std::size_t begin,
+                                                       std::size_t end) {
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    std::size_t i = begin;
+    for (; i + 4 <= end; i += 4) {
+      s0 += pa[i] * pb[i];
+      s1 += pa[i + 1] * pb[i + 1];
+      s2 += pa[i + 2] * pb[i + 2];
+      s3 += pa[i + 3] * pb[i + 3];
+    }
+    for (; i < end; ++i) s0 += pa[i] * pb[i];
+    return (s0 + s1) + (s2 + s3);
   };
   const std::size_t lanes = lanes_for(a.size());
   if (lanes <= 1) return lane_dot(0, a.size());

@@ -1,14 +1,17 @@
 // Deterministic parallel reductions and element-wise vector kernels.
 //
-// Serial fallbacks are the exact historical loops from support/math.cpp and
-// the solvers (same operation order, same compensation scheme), so one
-// effective thread reproduces pre-parallel results bit for bit.  The
-// parallel paths split the index space into lanes_for(n) contiguous lanes,
-// reduce each lane with the serial kernel, and combine the per-lane
-// partials in ascending lane order — at a fixed thread count the result is
-// bitwise reproducible across runs; across thread counts the association
-// of the partial sums changes, so results agree only to rounding (well
-// inside the 1e-12 solver tolerances; see docs/PARALLELISM.md).
+// The serial fallbacks of sum, l1_norm and l1_distance are the exact
+// historical loops from support/math.cpp (same operation order, same
+// compensation scheme), so one effective thread reproduces pre-parallel
+// results bit for bit.  dot (and l2_norm on it) is the exception: its lane
+// kernel keeps four interleaved partial sums, a fixed association of its
+// own (documented at dot below).  The parallel paths split the index space
+// into lanes_for(n) contiguous lanes, reduce each lane with the serial
+// kernel, and combine the per-lane partials in ascending lane order — at a
+// fixed thread count the result is bitwise reproducible across runs; across
+// thread counts the association of the partial sums changes, so results
+// agree only to rounding (well inside the 1e-12 solver tolerances; see
+// docs/PARALLELISM.md).
 #pragma once
 
 #include <cstddef>
@@ -26,10 +29,14 @@ namespace stocdr::par {
 [[nodiscard]] double l1_distance(std::span<const double> a,
                                  std::span<const double> b);
 
-/// Plain-summation dot product (serial twin: the solvers' inline loops).
+/// Dot product.  Over each lane's range [lo, hi), partial sum s_j adds
+/// a[i] * b[i] for i = lo + j, lo + j + 4, ... in ascending order, up to the
+/// last full group of four; the remaining (hi - lo) mod 4 products are
+/// added into s0, and the lane's value is (s0 + s1) + (s2 + s3).  With one
+/// lane that is the serial result.
 [[nodiscard]] double dot(std::span<const double> a, std::span<const double> b);
 
-/// sqrt(dot(v, v)) with the solvers' plain accumulation order.
+/// sqrt(dot(v, v)).
 [[nodiscard]] double l2_norm(std::span<const double> values);
 
 /// Infinity norm (order-independent: identical at any thread count).

@@ -168,6 +168,14 @@ namespace {
 
 double l2_norm(std::span<const double> v) { return par::l2_norm(v); }
 
+/// w[i] -= c * u[i] over [begin, end).  Pointers and coefficient arrive as
+/// values: read through a closure or a reference, a double that the store
+/// to w[i] may alias would be reloaded for every element.
+void subtract_scaled(double* w, const double* u, double c, std::size_t begin,
+                     std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) w[i] -= c * u[i];
+}
+
 obs::Counter& linear_matvec_counter() {
   static obs::Counter& counter =
       obs::MetricsRegistry::instance().counter("solver.linear.matvec");
@@ -269,18 +277,19 @@ LinearResult gmres(const LinearOperator& op, std::span<const double> b,
     for (; k < m; ++k) {
       apply_preconditioned(v[k], v[k + 1]);
       // Modified Gram-Schmidt.
+      double* w = v[k + 1].data();
       for (std::size_t j = 0; j <= k; ++j) {
         const double dot = par::dot(v[k + 1], v[j]);
         h[j][k] = dot;
-        par::parallel_for(n, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            v[k + 1][i] -= dot * v[j][i];
-          }
+        par::parallel_for(n, [w, u = v[j].data(), dot](std::size_t begin,
+                                                        std::size_t end) {
+          subtract_scaled(w, u, dot, begin, end);
         });
       }
-      h[k + 1][k] = l2_norm(v[k + 1]);
-      if (h[k + 1][k] > 0.0) {
-        for (double& vi : v[k + 1]) vi /= h[k + 1][k];
+      const double norm = l2_norm(v[k + 1]);
+      h[k + 1][k] = norm;
+      if (norm > 0.0) {
+        for (std::size_t i = 0; i < n; ++i) w[i] /= norm;
       }
       // Apply existing Givens rotations to the new column.
       for (std::size_t j = 0; j < k; ++j) {

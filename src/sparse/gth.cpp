@@ -1,6 +1,7 @@
 #include "sparse/gth.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "sparse/csr.hpp"
 #include "sparse/dense.hpp"
@@ -9,12 +10,12 @@
 
 namespace stocdr::sparse {
 
-std::vector<double> gth_stationary(const DenseMatrix& p_in) {
-  STOCDR_REQUIRE(p_in.rows() == p_in.cols(),
+std::vector<double> gth_stationary(DenseMatrix p) {
+  STOCDR_REQUIRE(p.rows() == p.cols(),
                  "gth_stationary requires a square matrix");
-  const std::size_t n = p_in.rows();
+  const std::size_t n = p.rows();
   STOCDR_REQUIRE(n >= 1, "gth_stationary requires a non-empty matrix");
-  DenseMatrix p = p_in;  // working copy; destroyed by elimination
+  // p is the working copy; elimination destroys it.
 
   // Elimination sweep: censor states n-1, n-2, ..., 1 (0-based) one by one.
   // The subtraction-free update uses only additions, multiplications and one
@@ -56,10 +57,15 @@ std::vector<double> gth_stationary(const CsrMatrix& p) {
 
 std::vector<double> gth_stationary_transposed(const CsrMatrix& pt) {
   DenseMatrix p(pt.cols(), pt.rows());
-  pt.for_each([&p](std::size_t dst, std::size_t src, double v) {
-    p.at(src, dst) = v;
-  });
-  return gth_stationary(p);
+  const auto row_ptr = pt.row_ptr();
+  const auto cols = pt.col_idx();
+  const auto vals = pt.values();
+  for (std::size_t dst = 0; dst < pt.rows(); ++dst) {
+    for (std::size_t k = row_ptr[dst]; k < row_ptr[dst + 1]; ++k) {
+      p.at(cols[k], dst) = vals[k];
+    }
+  }
+  return gth_stationary(std::move(p));
 }
 
 }  // namespace stocdr::sparse

@@ -15,16 +15,18 @@
 #include <span>
 #include <vector>
 
+#include "sparse/dense.hpp"
+
 namespace stocdr::sparse {
 
 class CsrMatrix;
-class DenseMatrix;
 
 /// Computes the stationary distribution eta with eta P = eta, sum(eta) = 1,
 /// for an irreducible row-stochastic matrix P given densely.
 /// Throws NumericalError if the chain is reducible (elimination encounters a
-/// state with no remaining outgoing probability).
-[[nodiscard]] std::vector<double> gth_stationary(const DenseMatrix& p);
+/// state with no remaining outgoing probability).  `p` is the elimination's
+/// working copy: pass an rvalue to hand it over without a copy.
+[[nodiscard]] std::vector<double> gth_stationary(DenseMatrix p);
 
 /// Same, for P given in CSR (rows are source states).  Densifies internally.
 [[nodiscard]] std::vector<double> gth_stationary(const CsrMatrix& p);

@@ -1,11 +1,13 @@
 // Flight recorder (src/obs/live/): ring semantics, tracer integration,
 // sentinel-triggered dumps from the robust harness, and the fatal-signal
 // post-mortem path.
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -193,6 +195,24 @@ TEST(FlightRecorderTest, SentinelTripDumpHoldsTheEventsThatExplainIt) {
   EXPECT_EQ(trace.events[0].kind, "fault.fired");
   EXPECT_EQ(trace.events[1].kind, "rung.failure");
   EXPECT_EQ(trace.events[1].severity, "warning");
+
+  // Spans are ringed when they end, so the failing rung and the solve
+  // around it are still open at the dump; their lines follow the ring, and
+  // every event's span_id names a span line of the dump.
+  std::map<std::uint64_t, const analyze::TraceSpan*> spans;
+  for (const analyze::TraceSpan& s : trace.spans) spans[s.id] = &s;
+  for (const analyze::TraceEvent& event : trace.events) {
+    EXPECT_EQ(spans.count(event.span_id), 1u)
+        << event.kind << " names span " << event.span_id;
+  }
+  ASSERT_EQ(spans.count(trace.events[1].span_id), 1u);
+  const analyze::TraceSpan& rung = *spans[trace.events[1].span_id];
+  EXPECT_EQ(rung.name, "robust.rung");
+  const auto open =
+      std::find_if(rung.attrs.begin(), rung.attrs.end(),
+                   [](const auto& attr) { return attr.first == "open"; });
+  ASSERT_NE(open, rung.attrs.end());
+  EXPECT_EQ(open->second.string_or(""), "true");
   std::remove(options.flight_dump_path.c_str());
 }
 

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -226,6 +227,165 @@ TEST(DescriptorTest, ApplyBitIdenticalAcrossThreadCounts) {
                           yt.size() * sizeof(double)),
               0)
         << threads << " threads (transpose)";
+  }
+  par::set_min_parallel_work(saved);
+}
+
+// --- specialised mode kernels pinned to the generic shuffle ----------------
+
+/// The generic shuffle of one mode, every base block streamed along the
+/// right index with each partial sum kept in `out`: the loop the
+/// descriptor ran for all modes before the right == 1 (phase) mode became
+/// a register-accumulating CSR SpMV.  Its tiling over the right index is
+/// left out; it changes no element's accumulation order.
+void reference_mode(const sparse::CsrMatrix& m, bool transpose,
+                    std::size_t left, std::size_t right, const double* in,
+                    double* out) {
+  const std::size_t n = m.rows();
+  const std::size_t block = n * right;
+  for (std::size_t l = 0; l < left; ++l) {
+    const double* src = in + l * block;
+    double* base = out + l * block;
+    if (!transpose) {
+      for (std::size_t i = 0; i < n; ++i) {
+        double* dst = base + i * right;
+        std::fill(dst, dst + right, 0.0);
+        const auto cols = m.row_cols(i);
+        const auto vals = m.row_values(i);
+        for (std::size_t k = 0; k < cols.size(); ++k) {
+          const double v = vals[k];
+          const double* row = src + cols[k] * right;
+          for (std::size_t r = 0; r < right; ++r) dst[r] += v * row[r];
+        }
+      }
+      continue;
+    }
+    std::fill(base, base + block, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* row = src + i * right;
+      const auto cols = m.row_cols(i);
+      const auto vals = m.row_values(i);
+      for (std::size_t k = 0; k < cols.size(); ++k) {
+        const double v = vals[k];
+        double* dst = base + cols[k] * right;
+        for (std::size_t r = 0; r < right; ++r) dst[r] += v * row[r];
+      }
+    }
+  }
+}
+
+bool is_unit_identity(const sparse::CsrMatrix& m) {
+  if (m.nnz() != m.rows()) return false;
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    if (m.at(i, i) != 1.0) return false;
+  }
+  return true;
+}
+
+/// y = sum_t c_t (x)_k F_tk x (or its transpose) by the generic shuffle,
+/// skipping identity factors as the descriptor does.
+std::vector<double> reference_apply(const std::vector<std::size_t>& dims,
+                                    const std::vector<KroneckerTerm>& terms,
+                                    bool transpose,
+                                    const std::vector<double>& x) {
+  std::vector<double> y(x.size(), 0.0), a(x.size()), b(x.size());
+  for (const KroneckerTerm& term : terms) {
+    const double* src = x.data();
+    std::size_t left = 1;
+    for (std::size_t k = 0; k < dims.size(); ++k) {
+      const std::size_t right = x.size() / (left * dims[k]);
+      if (!is_unit_identity(term.factors[k])) {
+        double* out = src == a.data() ? b.data() : a.data();
+        reference_mode(term.factors[k], transpose, left, right, src, out);
+        src = out;
+      }
+      left *= dims[k];
+    }
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      y[i] += term.coefficient * src[i];
+    }
+  }
+  return y;
+}
+
+enum class FactorShape { kRandom, kZeroRow, kDiagonal };
+
+/// A random square factor with entries of magnitude in [0.5, 1.5) (so never
+/// the identity); kZeroRow leaves row n/2 empty, kDiagonal keeps only the
+/// diagonal.
+sparse::CsrMatrix shaped_factor(std::size_t n, std::uint64_t seed,
+                                FactorShape shape) {
+  Rng rng(seed);
+  sparse::CooBuilder b(n, n);
+  for (std::size_t r = 0; r < n; ++r) {
+    if (shape == FactorShape::kZeroRow && r == n / 2) continue;
+    for (std::size_t c = 0; c < n; ++c) {
+      const bool keep = shape == FactorShape::kDiagonal ? c == r
+                                                        : rng.uniform() < 0.6;
+      if (keep) {
+        b.add(r, c, rng.uniform(0.5, 1.5) * (rng.uniform() < 0.5 ? -1 : 1));
+      }
+    }
+  }
+  return b.to_csr();
+}
+
+TEST(DescriptorTest, ModeKernelsMatchGenericShuffleBitForBit) {
+  // Last factor never the identity, so every term runs the right == 1
+  // kernel; the shapes also cover a mode tiled along right (> 2048), a
+  // size-1 dimension, a single-factor descriptor (left == right == 1) and
+  // identity factors the descriptor skips.
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {3, 5, 600}, {4, 1, 6}, {7}, {2, 3, 4, 5}};
+  const FactorShape shapes_by_term[] = {
+      FactorShape::kRandom, FactorShape::kRandom, FactorShape::kDiagonal,
+      FactorShape::kZeroRow};
+  const std::size_t saved = par::min_parallel_work();
+  par::set_min_parallel_work(1);
+  std::uint64_t seed = 400;
+  for (const std::vector<std::size_t>& dims : shapes) {
+    std::vector<KroneckerTerm> terms;
+    Rng rng(seed);
+    for (int t = 0; t < 4; ++t) {
+      KroneckerTerm term;
+      term.coefficient = rng.uniform(-2, 2);
+      for (std::size_t k = 0; k < dims.size(); ++k) {
+        const std::size_t n = dims[k];
+        if (t == 1 && k + 1 < dims.size()) {
+          term.factors.push_back(sparse::CsrMatrix::identity(n));
+        } else {
+          term.factors.push_back(shaped_factor(n, ++seed, shapes_by_term[t]));
+        }
+      }
+      terms.push_back(term);
+    }
+    KroneckerDescriptor d(dims);
+    for (const KroneckerTerm& term : terms) d.add_term(term);
+    std::vector<double> x(d.dimension());
+    for (double& v : x) v = rng.uniform(-1, 1);
+    const std::vector<double> ref = reference_apply(dims, terms, false, x);
+    const std::vector<double> ref_t = reference_apply(dims, terms, true, x);
+    for (const std::size_t lanes : {1u, 2u, 7u}) {
+      const par::ThreadScope scope(lanes);
+      std::vector<double> y(x.size()), yt(x.size());
+      d.apply(x, y);
+      d.apply_transpose(x, yt);
+      // Every entry is compared; only the first differing one is reported.
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        if (y[i] == ref[i] && yt[i] == ref_t[i]) continue;
+        EXPECT_EQ(y[i], ref[i]) << "apply entry " << i << ", " << lanes
+                                << " lanes, " << dims.size() << " dims";
+        EXPECT_EQ(yt[i], ref_t[i]) << "apply_transpose entry " << i << ", "
+                                   << lanes << " lanes, " << dims.size()
+                                   << " dims";
+        break;
+      }
+      EXPECT_EQ(std::memcmp(y.data(), ref.data(), y.size() * sizeof(double)),
+                0);
+      EXPECT_EQ(
+          std::memcmp(yt.data(), ref_t.data(), yt.size() * sizeof(double)),
+          0);
+    }
   }
   par::set_min_parallel_work(saved);
 }

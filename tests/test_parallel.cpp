@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -261,6 +263,50 @@ TEST_F(ParallelTest, ReductionsMatchSerialTwins) {
     // Fixed thread count: bitwise reproducible.
     EXPECT_EQ(par::sum(a), par::sum(a));
     EXPECT_EQ(par::dot(a, b), par::dot(a, b));
+  }
+}
+
+TEST_F(ParallelTest, DotKernelIsAccurateRepeatableAndDocumented) {
+  // Lengths 0-9 and 4099 cover every remainder mod 4 on the serial path and
+  // ranges shorter than one group of four on the lane paths.
+  std::vector<std::size_t> lengths(10);
+  std::iota(lengths.begin(), lengths.end(), std::size_t{0});
+  lengths.push_back(4099);
+  Rng rng(14);
+  for (const std::size_t n : lengths) {
+    std::vector<double> a(n), b(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      a[i] = rng.uniform() - 0.5;
+      b[i] = rng.uniform() - 0.5;
+    }
+    long double exact = 0.0L;
+    double magnitude = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      exact += static_cast<long double>(a[i]) * b[i];
+      magnitude += std::abs(a[i] * b[i]);
+    }
+    const double bound =
+        static_cast<double>(n) * std::numeric_limits<double>::epsilon() *
+        magnitude;
+    for (const std::size_t threads : {1u, 3u, 6u}) {
+      const par::ThreadScope scope(threads);
+      const double d = par::dot(a, b);
+      EXPECT_LE(std::abs(static_cast<long double>(d) - exact), bound)
+          << "n=" << n << " threads=" << threads;
+      const double again = par::dot(a, b);
+      EXPECT_EQ(std::memcmp(&d, &again, sizeof d), 0)
+          << "n=" << n << " threads=" << threads;
+    }
+    // One lane is the documented association: four interleaved partial
+    // sums, the remainder into s0, then (s0 + s1) + (s2 + s3).
+    double s[4] = {0.0, 0.0, 0.0, 0.0};
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      for (std::size_t j = 0; j < 4; ++j) s[j] += a[i + j] * b[i + j];
+    }
+    for (; i < n; ++i) s[0] += a[i] * b[i];
+    const par::ThreadScope serial(1);
+    EXPECT_EQ(par::dot(a, b), (s[0] + s[1]) + (s[2] + s[3])) << "n=" << n;
   }
 }
 
