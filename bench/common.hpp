@@ -15,15 +15,10 @@
 #include <utility>
 #include <vector>
 
-#if defined(__linux__)
-#include <unistd.h>
-#endif
-
 #include "cdr/capacity.hpp"
 #include "cdr/config.hpp"
 #include "cdr/measures.hpp"
 #include "cdr/model.hpp"
-#include "obs/dist/context.hpp"
 #include "obs/health/health.hpp"
 #include "obs/json.hpp"
 #include "obs/manifest.hpp"
@@ -343,51 +338,6 @@ struct SweepPointSpec {
   cdr::CdrConfig config;
 };
 
-// ---------------------------------------------------------------------------
-// Fleet mode: one journaled sweep split across N worker processes.
-//
-// STOCDR_SWEEP_WORKERS=N on the launching process makes it the fleet
-// parent: it spawns N-1 copies of itself (via /proc/self/exe) with
-// STOCDR_SWEEP_SHARD=<k>/<N>, runs shard 0 inline, waits for the workers,
-// and assembles the artifact from all shard journals in full sweep order —
-// so the artifact stays byte-identical to a single-process run's.  Each
-// worker journals to `<journal>.shard<k>` and writes no artifact.  Workers
-// inherit the parent's environment with per-shard STOCDR_TRACE_FILE /
-// STOCDR_METRICS_EXPORT suffixes, so trace and metrics files never
-// collide; each worker's events land in its own `.shard<k>` trace, and
-// `stocdr-obsctl events` merges them by wall time.  spawn_child exports
-// STOCDR_TRACE_PARENT, so worker spans carry the parent's trace id and
-// merge under the parent's `sweep.fleet` span.
-
-/// Shard assignment parsed from STOCDR_SWEEP_SHARD ("<k>/<n>", 0 <= k < n);
-/// nullopt when unset or malformed (malformed warns and runs unsharded).
-struct SweepShard {
-  std::size_t index = 0;
-  std::size_t count = 1;
-};
-inline std::optional<SweepShard> sweep_shard_from_env() {
-  const char* v = std::getenv("STOCDR_SWEEP_SHARD");
-  if (v == nullptr || v[0] == '\0') return std::nullopt;
-  unsigned long k = 0;
-  unsigned long n = 0;
-  if (std::sscanf(v, "%lu/%lu", &k, &n) != 2 || n == 0 || k >= n) {
-    std::fprintf(stderr, "stocdr: ignoring malformed STOCDR_SWEEP_SHARD=%s\n",
-                 v);
-    return std::nullopt;
-  }
-  return SweepShard{static_cast<std::size_t>(k), static_cast<std::size_t>(n)};
-}
-
-/// Worker count requested via STOCDR_SWEEP_WORKERS (1 = single-process).
-inline std::size_t sweep_workers_from_env() {
-  const char* v = std::getenv("STOCDR_SWEEP_WORKERS");
-  if (v == nullptr || v[0] == '\0') return 1;
-  char* end = nullptr;
-  const unsigned long n = std::strtoul(v, &end, 10);
-  if (end == v || n == 0) return 1;
-  return static_cast<std::size_t>(n);
-}
-
 /// The deterministic per-point result: exactly the fields that are
 /// bit-reproducible across runs at a fixed thread count (config, problem
 /// sizes, BER, solver counts and residual) — no seconds, no manifest, no
@@ -453,120 +403,6 @@ inline int run_journaled_sweep(const std::string& bench_name,
     }
     throw PreconditionError("run_journaled_sweep: unknown point " + key);
   };
-
-  // Contiguous shard [begin, end) of the full point list.
-  const auto shard_range = [&](std::size_t k, std::size_t n) {
-    return std::pair<std::size_t, std::size_t>{points.size() * k / n,
-                                               points.size() * (k + 1) / n};
-  };
-  const auto run_shard = [&](std::size_t k, std::size_t n,
-                             const std::string& shard_journal) {
-    const auto [begin, end] = shard_range(k, n);
-    const std::vector<std::string> shard_keys(keys.begin() + begin,
-                                              keys.begin() + end);
-    const std::vector<double> shard_costs(costs.begin() + begin,
-                                          costs.begin() + end);
-    return robust::jnl::run_sweep(shard_journal, config_hash, shard_keys,
-                                  solve_point, shard_costs);
-  };
-
-  if (const std::optional<SweepShard> shard = sweep_shard_from_env()) {
-    // Worker process: solve this shard's slice into the shard journal and
-    // exit — the fleet parent assembles the artifact.
-    obs::Span span("sweep.shard");
-    if (span.active()) {
-      span.attr("shard", std::uint64_t{shard->index});
-      span.attr("shards", std::uint64_t{shard->count});
-    }
-    const std::string shard_journal = std::string(journal_path) + ".shard" +
-                                      std::to_string(shard->index);
-    const robust::jnl::SweepOutcome outcome =
-        run_shard(shard->index, shard->count, shard_journal);
-    std::printf("sweep %s shard %zu/%zu: %zu point(s) solved, "
-                "%zu replayed from %s\n",
-                bench_name.c_str(), shard->index, shard->count,
-                outcome.computed, outcome.skipped, shard_journal.c_str());
-    return 0;
-  }
-
-#if defined(__linux__)
-  if (const std::size_t workers = sweep_workers_from_env(); workers >= 2) {
-    obs::Span span("sweep.fleet");
-    if (span.active()) span.attr("workers", std::uint64_t{workers});
-    char exe[4096];
-    const ssize_t len = ::readlink("/proc/self/exe", exe, sizeof exe - 1);
-    STOCDR_REQUIRE(len > 0, "fleet sweep: cannot resolve /proc/self/exe");
-    exe[len] = '\0';
-    obs::evt::emit("sweep.fleet", obs::evt::Severity::kInfo,
-                   {{"bench", bench_name},
-                    {"workers", std::uint64_t{workers}},
-                    {"points_total", std::uint64_t{points.size()}}});
-    std::vector<int> pids;
-    for (std::size_t k = 1; k < workers; ++k) {
-      std::vector<std::string> extra_env = {
-          "STOCDR_SWEEP_SHARD=" + std::to_string(k) + "/" +
-          std::to_string(workers)};
-      const std::string suffix = ".shard" + std::to_string(k);
-      if (const char* t = std::getenv("STOCDR_TRACE_FILE");
-          t != nullptr && t[0] != '\0') {
-        extra_env.push_back("STOCDR_TRACE_FILE=" + std::string(t) + suffix);
-      }
-      if (const char* m = std::getenv("STOCDR_METRICS_EXPORT");
-          m != nullptr && m[0] != '\0') {
-        extra_env.push_back("STOCDR_METRICS_EXPORT=" + std::string(m) +
-                            suffix);
-      }
-      pids.push_back(obs::dist::spawn_child({exe}, extra_env));
-    }
-    // The parent is worker 0: solve its shard while the children run.
-    const robust::jnl::SweepOutcome outcome0 =
-        run_shard(0, workers, std::string(journal_path) + ".shard0");
-    bool workers_ok = true;
-    for (std::size_t k = 1; k < workers; ++k) {
-      const int status = obs::dist::wait_child(pids[k - 1]);
-      if (status != 0) {
-        std::fprintf(stderr,
-                     "fleet sweep: worker shard %zu exited with status %d\n",
-                     k, status);
-        workers_ok = false;
-      }
-    }
-    if (!workers_ok) return 1;
-    // Assemble the artifact from the shard journals in full sweep order —
-    // byte-identical to a single-process artifact by construction (each
-    // record is the same deterministic result JSON).
-    std::vector<std::string> results;
-    results.reserve(keys.size());
-    std::size_t computed = outcome0.computed;
-    std::size_t replayed = outcome0.skipped;
-    for (std::size_t k = 0; k < workers; ++k) {
-      const auto [begin, end] = shard_range(k, workers);
-      if (k == 0) {
-        results.insert(results.end(), outcome0.results.begin(),
-                       outcome0.results.end());
-        continue;
-      }
-      const robust::jnl::SweepJournal shard_journal(
-          std::string(journal_path) + ".shard" + std::to_string(k),
-          config_hash);
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::string* result = shard_journal.result(keys[i]);
-        STOCDR_REQUIRE(result != nullptr,
-                       "fleet sweep: shard journal missing point " + keys[i]);
-        results.push_back(*result);
-        ++computed;
-      }
-    }
-    std::printf("fleet sweep %s: %zu workers, %zu point(s) solved, "
-                "%zu replayed\n",
-                bench_name.c_str(), workers, computed, replayed);
-    const std::string artifact = "BENCH_" + bench_name + "_sweep.json";
-    robust::jnl::write_sweep_artifact(artifact, bench_name, config_hash, keys,
-                                      results);
-    std::printf("wrote %s\n", artifact.c_str());
-    return 0;
-  }
-#endif
 
   const robust::jnl::SweepOutcome outcome = robust::jnl::run_sweep(
       journal_path, config_hash, keys, solve_point, costs);

@@ -41,15 +41,20 @@
 // between methods, and an optional --time-budget wall-clock deadline that
 // returns the best iterate reached instead of hanging.
 //
+// Exit codes: 0 converged, 1 error, 2 usage (a malformed flag value names
+// the flag), 4 refused by the memory admission gate, 5 the stationary solve
+// did not converge — the measures are still printed, under a line saying
+// they come from an unconverged iterate.
+//
 // With --checkpoint the robust solve persists durable on-disk checkpoints
 // (robust/checkpoint) keyed to this operating point's config hash, and a
 // restarted analysis warm-starts from the newest valid generation; torn or
 // corrupted files degrade to a counted cold start.
 //
-// With --journal the analysis result (the measures table) is recorded in a
-// crash-recoverable journal (robust/journal) keyed to the config hash: a
-// re-run with the same operating point replays the recorded measures
-// instead of solving again.
+// With --journal a converged analysis result (the measures table) is
+// recorded in a crash-recoverable journal (robust/journal) keyed to the
+// config hash: a re-run with the same operating point replays the recorded
+// measures instead of solving again.
 //
 // --inject-fault is a front end of the deterministic fault-injection
 // engine (robust/faultinject): `nan` installs the plan "solver:nan" and
@@ -60,13 +65,13 @@
 // Matrix Market), PREFIX.eta.mtx (the stationary vector) and PREFIX.dot
 // (the FSM network diagram for Graphviz).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "analysis/eigen.hpp"
@@ -95,6 +100,27 @@
 namespace {
 
 using namespace stocdr;
+
+/// Exit code of a run whose stationary solve did not converge.
+constexpr int kExitUnconverged = 5;
+
+/// Parses one numeric flag value strictly (support/text.hpp): false, with
+/// the reason on stderr, on trailing characters, a sign on a count, or a
+/// non-finite or out-of-range number.
+template <typename T>
+bool parse_flag(const char* text, const char* flag, T& out) {
+  try {
+    if constexpr (std::is_same_v<T, double>) {
+      out = parse_double(text, flag);
+    } else {
+      out = parse_size(text, flag);
+    }
+    return true;
+  } catch (const PreconditionError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return false;
+  }
+}
 
 int run(int argc, char** argv) {
   cdr::CdrConfig config;
@@ -136,8 +162,7 @@ int run(int argc, char** argv) {
         std::fprintf(stderr, "--memory-budget needs a value (bytes)\n");
         return 2;
       }
-      memory_budget =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      if (!parse_flag(argv[++i], "--memory-budget", memory_budget)) return 2;
       if (memory_budget == 0) {
         std::fprintf(stderr, "--memory-budget must be >= 1 byte\n");
         return 2;
@@ -150,7 +175,7 @@ int run(int argc, char** argv) {
         std::fprintf(stderr, "--tolerance needs a value (L1 residual)\n");
         return 2;
       }
-      tolerance = std::strtod(argv[++i], nullptr);
+      if (!parse_flag(argv[++i], "--tolerance", tolerance)) return 2;
       if (!(tolerance > 0.0)) {
         std::fprintf(stderr, "--tolerance must be > 0\n");
         return 2;
@@ -160,7 +185,11 @@ int run(int argc, char** argv) {
         std::fprintf(stderr, "--time-budget needs a value (seconds)\n");
         return 2;
       }
-      time_budget = std::strtod(argv[++i], nullptr);
+      if (!parse_flag(argv[++i], "--time-budget", time_budget)) return 2;
+      if (time_budget < 0.0) {
+        std::fprintf(stderr, "--time-budget must be >= 0\n");
+        return 2;
+      }
       use_robust = true;  // a budget only makes sense on the robust path
     } else if (arg == "--inject-fault") {
       if (i + 1 >= argc) {
@@ -186,8 +215,9 @@ int run(int argc, char** argv) {
         std::fprintf(stderr, "--checkpoint-period needs a value\n");
         return 2;
       }
-      checkpoint_period =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      if (!parse_flag(argv[++i], "--checkpoint-period", checkpoint_period)) {
+        return 2;
+      }
       if (checkpoint_period == 0) {
         std::fprintf(stderr, "--checkpoint-period must be >= 1\n");
         return 2;
@@ -203,7 +233,13 @@ int run(int argc, char** argv) {
         std::fprintf(stderr, "--threads needs a value (N or 'auto')\n");
         return 2;
       }
-      threads = par::parse_threads_spec(argv[++i]);
+      const char* spec = argv[++i];
+      std::size_t count = 0;
+      if (std::strcmp(spec, "auto") != 0 &&
+          !parse_flag(spec, "--threads", count)) {
+        return 2;
+      }
+      threads = par::parse_threads_spec(spec);
     } else if (arg == "--matrix-free") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "--matrix-free needs 'auto', 'on', or 'off'\n");
@@ -226,7 +262,10 @@ int run(int argc, char** argv) {
           "[--metrics-out FILE] [--checkpoint FILE] "
           "[--checkpoint-period N] [--journal FILE] "
           "[--mem-estimate] [--memory-budget BYTES] "
-          "[--matrix-free auto|on|off]\n");
+          "[--matrix-free auto|on|off]\n"
+          "exit codes: 0 converged, 1 error, 2 usage, 4 refused by the "
+          "memory budget, 5 the solve did not converge (measures printed "
+          "from the unconverged iterate)\n");
       return 0;
     } else {
       config = cdr::config_from_file(arg);
@@ -475,6 +514,11 @@ int run(int argc, char** argv) {
     mixing_bits = lambda2.mixing_steps();
   }
 
+  if (!solution.stats.converged) {
+    std::printf("NOT CONVERGED: the measures below come from an unconverged "
+                "iterate (residual %s); exit %d\n",
+                sci(solution.stats.residual, 1).c_str(), kExitUnconverged);
+  }
   TextTable report({"measure", "value"});
   report.add_row({"bit-error rate", sci(ber, 3)});
   report.add_row({"cycle-slip rate / bit", sci(slips.rate(), 3)});
@@ -490,7 +534,10 @@ int run(int argc, char** argv) {
                                     fixed(mixing_bits, 0) + " bits)"});
   std::printf("%s", report.render().c_str());
 
-  if (journal != nullptr && !journal->has("analysis")) {
+  // A replay prints journaled measures as a finished analysis, so only
+  // converged ones are recorded.
+  if (journal != nullptr && solution.stats.converged &&
+      !journal->has("analysis")) {
     obs::JsonWriter w;
     w.begin_object();
     w.field("ber", ber);
@@ -552,7 +599,7 @@ int run(int argc, char** argv) {
     writer.commit();
     std::printf("\nwrote metrics snapshot to %s\n", metrics_out.c_str());
   }
-  return 0;
+  return solution.stats.converged ? 0 : kExitUnconverged;
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "support/error.hpp"
+#include "support/text.hpp"
 
 namespace stocdr::cdr {
 
@@ -24,30 +25,11 @@ std::string trim(const std::string& s) {
 }
 
 std::size_t parse_size(const std::string& value, const std::string& key) {
-  try {
-    std::size_t consumed = 0;
-    const long long parsed = std::stoll(value, &consumed);
-    // Trailing garbage ("8x", "1 2") must not silently truncate.
-    STOCDR_REQUIRE(consumed == value.size(),
-                   "config: bad integer for '" + key + "': " + value);
-    STOCDR_REQUIRE(parsed >= 0, "config: '" + key + "' must be >= 0");
-    return static_cast<std::size_t>(parsed);
-  } catch (const std::logic_error&) {
-    throw PreconditionError("config: bad integer for '" + key + "': " +
-                            value);
-  }
+  return stocdr::parse_size(value, "config key '" + key + "'");
 }
 
 double parse_double(const std::string& value, const std::string& key) {
-  try {
-    std::size_t consumed = 0;
-    const double parsed = std::stod(value, &consumed);
-    STOCDR_REQUIRE(consumed == value.size(),
-                   "config: bad number for '" + key + "': " + value);
-    return parsed;
-  } catch (const std::logic_error&) {
-    throw PreconditionError("config: bad number for '" + key + "': " + value);
-  }
+  return stocdr::parse_double(value, "config key '" + key + "'");
 }
 
 }  // namespace

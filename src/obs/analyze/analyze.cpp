@@ -183,37 +183,6 @@ std::string to_chrome_trace(const TraceFile& trace) {
     }
     w.end_object();
   }
-  // Cross-process links stitched by merge_traces render as flow arrows
-  // (ph "s" at the spawning span, matching ph "f" at the worker root).
-  std::uint64_t flow_id = 0;
-  for (const FlowLink& flow : trace.flows) {
-    if (flow.from_index >= trace.spans.size() ||
-        flow.to_index >= trace.spans.size()) {
-      continue;
-    }
-    const TraceSpan& from = trace.spans[flow.from_index];
-    const TraceSpan& to = trace.spans[flow.to_index];
-    ++flow_id;
-    w.begin_object();
-    w.field("name", "spawn");
-    w.field("cat", "stocdr.flow");
-    w.field("ph", "s");
-    w.field("id", flow_id);
-    w.field("ts", static_cast<double>(from.ts_ns) / 1000.0);
-    w.field("pid", std::uint64_t{from.pid == 0 ? 1u : from.pid});
-    w.field("tid", std::uint64_t{from.tid});
-    w.end_object();
-    w.begin_object();
-    w.field("name", "spawn");
-    w.field("cat", "stocdr.flow");
-    w.field("ph", "f");
-    w.field("bp", "e");
-    w.field("id", flow_id);
-    w.field("ts", static_cast<double>(to.ts_ns) / 1000.0);
-    w.field("pid", std::uint64_t{to.pid == 0 ? 1u : to.pid});
-    w.field("tid", std::uint64_t{to.tid});
-    w.end_object();
-  }
   w.end_array();
   w.end_object();
   return std::move(w).str();

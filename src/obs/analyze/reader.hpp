@@ -29,10 +29,6 @@ struct TraceSpan {
   std::uint32_t pid = 0;     ///< 0 on pre-pid traces (schema <= 2)
   std::uint64_t ts_ns = 0;
   std::uint64_t dur_ns = 0;
-  /// Cross-process parent reference ((pid, span id) in the spawning
-  /// process); both 0 when absent.  merge_traces resolves it.
-  std::uint32_t remote_parent_pid = 0;
-  std::uint64_t remote_parent_id = 0;
   std::vector<std::pair<std::string, JsonValue>> attrs;
 };
 
@@ -43,16 +39,8 @@ struct TraceEvent {
   std::string severity;
   std::uint64_t ts_ns = 0;  ///< wall CLOCK_REALTIME ns
   std::uint32_t pid = 0;
-  std::string trace_id;
   std::uint64_t span_id = 0;  ///< innermost open span at emission, 0 = none
   std::vector<std::pair<std::string, JsonValue>> attrs;
-};
-
-/// One resolved cross-process parent->child link, as indices into
-/// TraceFile::spans (stable under the id renumbering merge_traces does).
-struct FlowLink {
-  std::size_t from_index = 0;  ///< parent (spawning) span
-  std::size_t to_index = 0;    ///< child root span
 };
 
 /// A fully read trace.
@@ -64,12 +52,8 @@ struct TraceFile {
 
   std::vector<TraceSpan> spans;
 
-  /// Event lines in file order (merge_traces concatenates them per file).
+  /// Event lines in file order.
   std::vector<TraceEvent> events;
-
-  /// Cross-process parent->child links stitched by merge_traces (empty for
-  /// a single-file read; the Chrome exporter renders them as flow arrows).
-  std::vector<FlowLink> flows;
 
   /// Signal number from a {"crash":{"signal":N}} marker line (written by
   /// the fatal-signal flight-recorder dump); 0 = no crash marker.
@@ -90,18 +74,5 @@ struct TraceFile {
 /// line(s)", ...) the CLI surfaces with its distinct exit code.
 [[nodiscard]] std::optional<std::string> empty_trace_reason(
     const TraceFile& trace);
-
-/// Merges per-process traces (one file per worker) into a single trace:
-///   - span ids are renumbered so ids from different processes never
-///     collide (parent references are remapped consistently);
-///   - a worker root span carrying a (remote_parent_pid, remote_parent_id)
-///     reference is stitched under the matching span of the spawning
-///     process — its parent/depth are rewritten and the link is recorded
-///     in TraceFile::flows for the Chrome exporter's flow arrows.
-/// Events are concatenated in file order with their span_id remapped like
-/// the span ids.  The merged manifest is the first file's (workers inherit
-/// the parent's trace id, so any file's manifest identifies the run); line
-/// counts are summed and the first nonzero crash signal wins.
-[[nodiscard]] TraceFile merge_traces(std::vector<TraceFile> files);
 
 }  // namespace stocdr::obs::analyze

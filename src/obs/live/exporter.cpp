@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "obs/dist/context.hpp"
 #include "obs/live/openmetrics.hpp"
 #include "obs/mem/mem.hpp"
 #include "obs/metrics.hpp"
@@ -49,9 +48,6 @@ void LiveExporter::publish() {
       ticks_.fetch_add(1, std::memory_order_acq_rel) + 1;
   MetricsRegistry& registry = MetricsRegistry::instance();
   registry.gauge("export.heartbeat").set(static_cast<double>(tick));
-  // The emitting pid lets `stocdr-obsctl fleet` attribute a snapshot file
-  // to its worker process.
-  registry.gauge("process.pid").set(static_cast<double>(dist::process_pid()));
   // Memory is sampled at publish time so watchers see live values: current
   // and peak RSS always, plus the heap-byte gauges when STOCDR_MEM=1.
   registry.gauge("process.current_rss_bytes")

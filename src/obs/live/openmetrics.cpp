@@ -1,6 +1,5 @@
 #include "obs/live/openmetrics.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -64,25 +63,6 @@ std::string to_openmetrics(const std::vector<MetricSample>& samples) {
         out += name + "_sum " + format_value(sample.sum) + '\n';
         out += name + "_count " +
                format_value(static_cast<double>(sample.count)) + '\n';
-        // Raw state for exact cross-worker merging (obsctl fleet): exact
-        // extrema plus the nonzero log-bucket counts.  %.17g round-trips
-        // uint64 bucket counts exactly up to 2^53 — far beyond any
-        // realistic observation count.
-        out += name + "_min " + format_value(sample.min) + '\n';
-        out += name + "_max " + format_value(sample.max) + '\n';
-        if (sample.underflow > 0) {
-          out += name + "_bucket{i=\"under\"} " +
-                 format_value(static_cast<double>(sample.underflow)) + '\n';
-        }
-        for (std::size_t i = 0; i < sample.buckets.size(); ++i) {
-          if (sample.buckets[i] == 0) continue;
-          out += name + "_bucket{i=\"" + std::to_string(i) + "\"} " +
-                 format_value(static_cast<double>(sample.buckets[i])) + '\n';
-        }
-        if (sample.overflow > 0) {
-          out += name + "_bucket{i=\"over\"} " +
-                 format_value(static_cast<double>(sample.overflow)) + '\n';
-        }
         break;
     }
   }
@@ -138,130 +118,6 @@ OpenMetricsDocument parse_openmetrics(std::string_view text) {
     doc.samples.push_back(std::move(sample));
   }
   return doc;
-}
-
-namespace {
-
-bool strip_suffix(std::string& name, std::string_view suffix) {
-  if (name.size() <= suffix.size() ||
-      name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
-    return false;
-  }
-  name.resize(name.size() - suffix.size());
-  return true;
-}
-
-void strip_prefix(std::string& name) {
-  constexpr std::string_view kPrefix = "stocdr_";
-  if (name.size() > kPrefix.size() &&
-      name.compare(0, kPrefix.size(), kPrefix) == 0) {
-    name.erase(0, kPrefix.size());
-  }
-}
-
-}  // namespace
-
-std::vector<MetricSample> openmetrics_to_samples(
-    const OpenMetricsDocument& doc) {
-  // Pass 1: histogram base names, identified by quantile or _bucket lines.
-  // (A plain counter/gauge never emits labeled samples.)
-  std::vector<std::string> hist_names;
-  auto is_hist = [&hist_names](const std::string& base) {
-    for (const std::string& h : hist_names) {
-      if (h == base) return true;
-    }
-    return false;
-  };
-  for (const OpenMetricsSample& s : doc.samples) {
-    std::string base = s.name;
-    if (s.labels.rfind("quantile=", 0) != 0 &&
-        !(s.labels.rfind("i=", 0) == 0 && strip_suffix(base, "_bucket"))) {
-      continue;
-    }
-    if (!is_hist(base)) hist_names.push_back(base);
-  }
-
-  // Pass 2: assemble samples.  Histogram parts accumulate into one entry.
-  std::vector<MetricSample> out;
-  auto hist_entry = [&out](std::string name) -> MetricSample& {
-    strip_prefix(name);
-    for (MetricSample& sample : out) {
-      if (sample.kind == MetricSample::Kind::kHistogram &&
-          sample.name == name) {
-        return sample;
-      }
-    }
-    MetricSample sample;
-    sample.name = std::move(name);
-    sample.kind = MetricSample::Kind::kHistogram;
-    sample.buckets.assign(Histogram::kNumBuckets, 0);
-    out.push_back(std::move(sample));
-    return out.back();
-  };
-  for (const OpenMetricsSample& s : doc.samples) {
-    std::string base = s.name;
-    if (s.labels.rfind("quantile=", 0) == 0 && is_hist(base)) {
-      MetricSample& h = hist_entry(base);
-      if (s.labels == "quantile=\"0.5\"") h.p50 = s.value;
-      if (s.labels == "quantile=\"0.9\"") h.p90 = s.value;
-      if (s.labels == "quantile=\"0.99\"") h.p99 = s.value;
-      continue;
-    }
-    if (s.labels.rfind("i=", 0) == 0 && strip_suffix(base, "_bucket") &&
-        is_hist(base)) {
-      MetricSample& h = hist_entry(base);
-      const auto n = static_cast<std::uint64_t>(s.value);
-      if (s.labels == "i=\"under\"") {
-        h.underflow = n;
-      } else if (s.labels == "i=\"over\"") {
-        h.overflow = n;
-      } else if (s.labels.size() > 4 && s.labels[2] == '"' &&
-                 s.labels.back() == '"') {
-        char* end = nullptr;
-        const unsigned long idx = std::strtoul(s.labels.c_str() + 3, &end, 10);
-        if (end != s.labels.c_str() + 3 && idx < h.buckets.size()) {
-          h.buckets[idx] = n;
-        }
-      }
-      continue;
-    }
-    if (!s.labels.empty()) continue;  // unknown labeled line
-    base = s.name;
-    if (strip_suffix(base, "_sum") && is_hist(base)) {
-      hist_entry(base).sum = s.value;
-    } else if ((base = s.name, strip_suffix(base, "_count")) &&
-               is_hist(base)) {
-      hist_entry(base).count = static_cast<std::uint64_t>(s.value);
-    } else if ((base = s.name, strip_suffix(base, "_min")) && is_hist(base)) {
-      hist_entry(base).min = s.value;
-    } else if ((base = s.name, strip_suffix(base, "_max")) && is_hist(base)) {
-      hist_entry(base).max = s.value;
-    } else if ((base = s.name, strip_suffix(base, "_total")) &&
-               !is_hist(base)) {
-      MetricSample sample;
-      strip_prefix(base);
-      sample.name = std::move(base);
-      sample.kind = MetricSample::Kind::kCounter;
-      sample.value = s.value;
-      out.push_back(std::move(sample));
-    } else if (!is_hist(s.name)) {
-      MetricSample sample;
-      base = s.name;
-      strip_prefix(base);
-      sample.name = std::move(base);
-      sample.kind = MetricSample::Kind::kGauge;
-      sample.value = s.value;
-      out.push_back(std::move(sample));
-    }
-  }
-  // Derive the mean for reconstructed histograms (the summary text has no
-  // mean line).
-  for (MetricSample& sample : out) {
-    if (sample.kind == MetricSample::Kind::kHistogram && sample.count > 0) {
-      sample.value = sample.sum / static_cast<double>(sample.count);
-    }
-  }
-  return out;
 }
 
 double openmetrics_value(const OpenMetricsDocument& doc,

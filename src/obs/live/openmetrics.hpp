@@ -48,14 +48,4 @@ struct OpenMetricsDocument {
                                        std::string_view name,
                                        std::string_view labels = "");
 
-/// Reconstructs MetricSamples from a parsed document (the inverse of
-/// to_openmetrics, up to name sanitization: the returned names are the
-/// OpenMetrics names minus the "stocdr_" prefix, with '_' where the
-/// original had '.').  Histograms are identified by their quantile/_bucket
-/// lines and regain their raw bucket state, so feeding the result to
-/// MetricsRegistry::merge_snapshot merges workers exactly.  Used by
-/// `stocdr-obsctl fleet`.
-[[nodiscard]] std::vector<MetricSample> openmetrics_to_samples(
-    const OpenMetricsDocument& doc);
-
 }  // namespace stocdr::obs

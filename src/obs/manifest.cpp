@@ -4,8 +4,8 @@
 #include <cstdlib>
 #include <ctime>
 
-#include "obs/dist/context.hpp"
 #include "obs/json.hpp"
+#include "obs/trace.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -74,11 +74,7 @@ RunManifest current_manifest() {
   manifest.flags = STOCDR_BUILD_FLAGS;
   manifest.hostname = host_name();
   manifest.date_utc = utc_date();
-  manifest.pid = dist::process_pid();
-  char trace_hex[17];
-  std::snprintf(trace_hex, sizeof trace_hex, "%016llx",
-                static_cast<unsigned long long>(dist::process_trace_id()));
-  manifest.trace_id = trace_hex;
+  manifest.pid = process_pid();
   return manifest;
 }
 
@@ -93,7 +89,6 @@ std::string manifest_to_json(const RunManifest& manifest) {
   w.field("hostname", manifest.hostname);
   w.field("date_utc", manifest.date_utc);
   if (manifest.pid != 0) w.field("pid", std::uint64_t{manifest.pid});
-  if (!manifest.trace_id.empty()) w.field("trace_id", manifest.trace_id);
   if (!manifest.config_hash.empty()) {
     w.field("config_hash", manifest.config_hash);
   }

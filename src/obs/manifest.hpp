@@ -33,8 +33,7 @@ struct RunManifest {
   std::string hostname;
   std::string date_utc;
   std::string config_hash;
-  std::uint32_t pid = 0;      ///< emitting process (fleet trace merging)
-  std::string trace_id;       ///< process trace id, 16 hex digits
+  std::uint32_t pid = 0;      ///< emitting process
   std::uint32_t schema = 3;
 };
 

@@ -57,37 +57,6 @@ void Histogram::observe(double v) {
   buckets_[index].fetch_add(1, std::memory_order_relaxed);
 }
 
-Histogram::State Histogram::state() const {
-  State s;
-  s.count = count_.load(std::memory_order_relaxed);
-  s.sum = sum_.load(std::memory_order_relaxed);
-  s.min = min_.load(std::memory_order_relaxed);
-  s.max = max_.load(std::memory_order_relaxed);
-  s.underflow = underflow_.load(std::memory_order_relaxed);
-  s.overflow = overflow_.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    s.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  return s;
-}
-
-void Histogram::merge(const State& other) {
-  if (other.count == 0) return;  // keep min/max untouched (they start at inf)
-  count_.fetch_add(other.count, std::memory_order_relaxed);
-  atomic_update(sum_, other.sum, [](double a, double b) { return a + b; });
-  atomic_update(min_, other.min,
-                [](double a, double b) { return std::min(a, b); });
-  atomic_update(max_, other.max,
-                [](double a, double b) { return std::max(a, b); });
-  underflow_.fetch_add(other.underflow, std::memory_order_relaxed);
-  overflow_.fetch_add(other.overflow, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    if (other.buckets[i] != 0) {
-      buckets_[i].fetch_add(other.buckets[i], std::memory_order_relaxed);
-    }
-  }
-}
-
 double Histogram::min() const {
   return count() == 0 ? 0.0 : min_.load(std::memory_order_relaxed);
 }
@@ -227,10 +196,6 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
       sample.p50 = entry.metric->quantile(0.50);
       sample.p90 = entry.metric->quantile(0.90);
       sample.p99 = entry.metric->quantile(0.99);
-      const Histogram::State state = entry.metric->state();
-      sample.buckets.assign(state.buckets.begin(), state.buckets.end());
-      sample.underflow = state.underflow;
-      sample.overflow = state.overflow;
       out.push_back(std::move(sample));
     }
   }
@@ -239,34 +204,6 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
               return a.name < b.name;
             });
   return out;
-}
-
-void MetricsRegistry::merge_snapshot(const std::vector<MetricSample>& samples) {
-  for (const MetricSample& sample : samples) {
-    switch (sample.kind) {
-      case MetricSample::Kind::kCounter:
-        counter(sample.name).add(static_cast<std::uint64_t>(sample.value));
-        break;
-      case MetricSample::Kind::kGauge:
-        gauge(sample.name).set(sample.value);
-        break;
-      case MetricSample::Kind::kHistogram: {
-        if (sample.count == 0) break;
-        Histogram::State state;
-        state.count = sample.count;
-        state.sum = sample.sum;
-        state.min = sample.min;
-        state.max = sample.max;
-        state.underflow = sample.underflow;
-        state.overflow = sample.overflow;
-        const std::size_t n =
-            std::min(sample.buckets.size(), state.buckets.size());
-        for (std::size_t i = 0; i < n; ++i) state.buckets[i] = sample.buckets[i];
-        histogram(sample.name).merge(state);
-        break;
-      }
-    }
-  }
 }
 
 void MetricsRegistry::reset_counters() {

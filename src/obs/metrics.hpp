@@ -86,29 +86,7 @@ class Histogram {
   static constexpr std::size_t kNumBuckets =
       static_cast<std::size_t>((kMaxDecade - kMinDecade) * kBucketsPerDecade);
 
-  /// Plain-value copy of a histogram's full state.  Because every process
-  /// uses the same fixed bucket layout, merging states is *exact* for
-  /// count/sum/min/max and bucket counts — merged quantile estimates are
-  /// identical to observing the union of samples in one histogram.
-  struct State {
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = std::numeric_limits<double>::infinity();
-    double max = -std::numeric_limits<double>::infinity();
-    std::uint64_t underflow = 0;
-    std::uint64_t overflow = 0;
-    std::array<std::uint64_t, kNumBuckets> buckets{};
-  };
-
   void observe(double v);
-
-  /// Snapshot of the full state (each field read atomically).
-  [[nodiscard]] State state() const;
-
-  /// Folds another histogram's state into this one (exact; see State).
-  /// An empty state (count 0) is a no-op, so min/max stay untouched.
-  void merge(const State& other);
-  void merge(const Histogram& other) { merge(other.state()); }
 
   [[nodiscard]] std::uint64_t count() const {
     return count_.load(std::memory_order_relaxed);
@@ -152,10 +130,6 @@ struct MetricSample {
   double sum = 0.0;            ///< histogram sum of observations
   double min = 0.0, max = 0.0; ///< histogram extrema
   double p50 = 0.0, p90 = 0.0, p99 = 0.0;  ///< histogram quantile estimates
-  /// Raw bucket state (filled by snapshot(); empty for non-histograms).
-  /// Carried so exported snapshots can be merged exactly across workers.
-  std::vector<std::uint64_t> buckets;
-  std::uint64_t underflow = 0, overflow = 0;
 };
 
 /// The process-global registry.
@@ -172,13 +146,6 @@ class MetricsRegistry {
 
   /// All metrics that fired (see the header comment), sorted by name.
   [[nodiscard]] std::vector<MetricSample> snapshot() const;
-
-  /// Folds a snapshot from another process into this registry: counters
-  /// add, gauges take the sample's value (last write wins), histograms
-  /// merge exactly from the sample's raw bucket state (a sample without
-  /// buckets contributes count/sum/extrema only — quantiles then degrade
-  /// to the extrema).  Used by the fleet dashboard to aggregate workers.
-  void merge_snapshot(const std::vector<MetricSample>& samples);
 
   /// Resets counters to zero (gauges and histograms keep their last state);
   /// intended for tests.

@@ -38,10 +38,6 @@ struct SpanRecord {
   std::uint32_t pid = 0;       ///< OS pid of the emitting process
   std::uint64_t start_ns = 0;  ///< monotonic ns since the tracer epoch
   std::uint64_t duration_ns = 0;
-  /// Cross-process parent (root spans under STOCDR_TRACE_PARENT; see
-  /// obs/dist/context.hpp).  Both 0 when there is no remote parent.
-  std::uint32_t remote_parent_pid = 0;
-  std::uint64_t remote_parent_id = 0;
   Attrs attrs;
 };
 
@@ -57,17 +53,13 @@ enum class Severity {
 
 /// One event as handed to the sink.  Its trace line:
 ///   {"event":"<kind>","severity":"info|warning|alarm","ts_ns":<wall ns>,
-///    "pid":<pid>,"trace_id":"<hex16>","span_id":<id>,"attrs":{...}}
+///    "pid":<pid>,"span_id":<id>,"attrs":{...}}
 struct EventRecord {
   std::string kind;
   Severity severity = Severity::kInfo;
-  /// CLOCK_REALTIME ns (wall, not the spans' monotonic clock), so events
-  /// of different processes order meaningfully.
+  /// CLOCK_REALTIME ns (wall, not the spans' monotonic clock).
   std::uint64_t ts_ns = 0;
   std::uint32_t pid = 0;
-  /// The process trace id (obs/dist/context.hpp): shared by a fleet
-  /// spawned from one parent.
-  std::uint64_t trace_id = 0;
   /// The innermost span open on the emitting thread (0 = none).
   std::uint64_t span_id = 0;
   Attrs attrs;

@@ -1,7 +1,5 @@
 #include "obs/sink.hpp"
 
-#include <cinttypes>
-
 #include "obs/json.hpp"
 #include "obs/manifest.hpp"
 #include "support/error.hpp"
@@ -83,10 +81,6 @@ std::string span_to_jsonl(const SpanRecord& span) {
   w.field("pid", std::uint64_t{span.pid});
   w.field("ts_ns", span.start_ns);
   w.field("dur_ns", span.duration_ns);
-  if (span.remote_parent_pid != 0 || span.remote_parent_id != 0) {
-    w.field("remote_parent_pid", std::uint64_t{span.remote_parent_pid});
-    w.field("remote_parent_id", span.remote_parent_id);
-  }
   write_attrs(w, span.attrs);
   w.end_object();
   return std::move(w).str();
@@ -99,9 +93,6 @@ std::string event_to_jsonl(const evt::EventRecord& event) {
   w.field("severity", evt::to_string(event.severity));
   w.field("ts_ns", event.ts_ns);
   w.field("pid", std::uint64_t{event.pid});
-  char trace_hex[17];
-  std::snprintf(trace_hex, sizeof trace_hex, "%016" PRIx64, event.trace_id);
-  w.field("trace_id", trace_hex);
   w.field("span_id", event.span_id);
   write_attrs(w, event.attrs);
   w.end_object();

@@ -10,10 +10,13 @@
 #include <mutex>
 #include <vector>
 
-#include "obs/dist/context.hpp"
 #include "obs/live/crash_handler.hpp"
 #include "obs/live/flight_recorder.hpp"
 #include "support/error.hpp"
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <unistd.h>
+#endif
 
 namespace stocdr::obs {
 
@@ -131,6 +134,15 @@ std::vector<SpanRecord> Tracer::open_spans() {
   return open;
 }
 
+std::uint32_t process_pid() {
+#if defined(__unix__) || defined(__APPLE__)
+  static const std::uint32_t pid = static_cast<std::uint32_t>(::getpid());
+  return pid;
+#else
+  return 0;
+#endif
+}
+
 std::uint64_t Tracer::now_ns() {
   using Clock = std::chrono::steady_clock;
   static const Clock::time_point epoch = Clock::now();
@@ -145,18 +157,11 @@ Span::Span(const char* name) : sink_(Tracer::sink()) {
   if (sink_ != nullptr) {
     record_.id = next_span_id();
     record_.tid = this_thread_index();
-    record_.pid = dist::process_pid();
+    record_.pid = process_pid();
     parent_ = t_current_span;
     if (parent_ != nullptr) {
       record_.parent_id = parent_->record_.id;
       record_.depth = parent_->record_.depth + 1;
-    } else if (const std::optional<dist::TraceContext>& remote =
-                   dist::remote_parent();
-               remote.has_value() && remote->span_id != 0) {
-      // Root span of a spawned worker: link it under the spawning span so a
-      // merged multi-process trace reconstructs the cross-process chain.
-      record_.remote_parent_pid = remote->pid;
-      record_.remote_parent_id = remote->span_id;
     }
     t_current_span = this;
     record_.start_ns = Tracer::now_ns();
@@ -254,8 +259,7 @@ void evt::publish(TraceSink& sink, std::string_view kind, Severity severity,
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::system_clock::now().time_since_epoch())
           .count());
-  record.pid = dist::process_pid();
-  record.trace_id = dist::process_trace_id();
+  record.pid = process_pid();
   record.span_id = Tracer::current_span_id();
   record.attrs = std::move(attrs);
   sink.on_event(record);

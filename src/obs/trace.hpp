@@ -62,9 +62,7 @@ class Tracer {
   static std::uint64_t now_ns();
 
   /// Id of the innermost span open on the calling thread (0 when tracing is
-  /// disabled or no span is open).  Cross-process context capture
-  /// (obs/dist/context.hpp) exports this so a spawned child's root spans
-  /// can link under the spawning span.
+  /// disabled or no span is open); events record it as their span_id.
   static std::uint64_t current_span_id();
 
   /// The spans still open on the calling thread, outermost first, each as
@@ -137,10 +135,13 @@ class Span {
   mem::SpanStart mem_start_;
 };
 
+/// getpid(), cached: the pid stamped on spans, events and the manifest.
+[[nodiscard]] std::uint32_t process_pid();
+
 namespace evt {
 
-/// Stamps wall time, pid, trace id and the innermost open span id onto one
-/// event and hands it to `sink`.
+/// Stamps wall time, pid and the innermost open span id onto one event and
+/// hands it to `sink`.
 void publish(TraceSink& sink, std::string_view kind, Severity severity,
              Attrs attrs);
 

@@ -1,9 +1,11 @@
 #include "support/text.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <system_error>
 
 #include "support/error.hpp"
 
@@ -104,6 +106,26 @@ std::string fixed(double value, int digits) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "%.*f", digits, value);
   return buf;
+}
+
+std::size_t parse_size(const std::string& text, const std::string& what) {
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end) {
+    throw PreconditionError("bad integer for " + what + ": " + text);
+  }
+  return value;
+}
+
+double parse_double(const std::string& text, const std::string& what) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end || !std::isfinite(value)) {
+    throw PreconditionError("bad number for " + what + ": " + text);
+  }
+  return value;
 }
 
 }  // namespace stocdr

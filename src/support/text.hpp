@@ -1,6 +1,7 @@
 // Plain-text rendering used by the benchmark harnesses: aligned tables for
 // the paper's per-experiment annotation lines, and ASCII density plots for
-// the stationary phase-error PDFs of Figures 4 and 5.
+// the stationary phase-error PDFs of Figures 4 and 5.  Plus the strict
+// number parsers shared by the config-file format and the command lines.
 #pragma once
 
 #include <cstddef>
@@ -41,5 +42,18 @@ class TextTable {
 
 /// Formats a double with fixed precision.
 [[nodiscard]] std::string fixed(double value, int digits = 3);
+
+/// Parses `text` as exactly one unsigned decimal integer that fits a
+/// size_t: no sign, no exponent, nothing before or after the digits.
+/// Throws PreconditionError "bad integer for <what>: <text>" otherwise.
+[[nodiscard]] std::size_t parse_size(const std::string& text,
+                                     const std::string& what);
+
+/// Parses `text` as exactly one finite number (no leading '+' or
+/// whitespace, nothing after it).  Throws PreconditionError "bad number
+/// for <what>: <text>" otherwise, including for inf, nan and out-of-range
+/// values.
+[[nodiscard]] double parse_double(const std::string& text,
+                                  const std::string& what);
 
 }  // namespace stocdr

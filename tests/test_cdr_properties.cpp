@@ -1,5 +1,6 @@
 // Property sweeps over the CDR configuration space: invariants that must
 // hold for *every* valid configuration, exercised with parameterized tests.
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <ostream>
@@ -7,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cdr/kron_model.hpp"
 #include "cdr/measures.hpp"
 #include "cdr/model.hpp"
 #include "markov/classify.hpp"
@@ -184,6 +186,131 @@ TEST(SlipDirectionTest, ConsistentWithFluxRatio) {
   EXPECT_EQ(flux.rate_up > flux.rate_down,
             direction.probability_up > 0.5);
 }
+
+// --- mirror relation ---------------------------------------------------------
+//
+// The model is symmetric under Phi -> -Phi once the drift changes sign: the
+// data, the phase detector, the filter and n_w are all symmetric about 0.
+// Negating nr_mean must therefore leave BER and the rms phase error
+// unchanged, negate the static phase offset, and swap the slip fluxes up and
+// down.  A discretization that keeps this relation (n_r quantization among
+// them) keeps these checks green.
+
+/// A tail measure is resolvable only above this multiple of the larger L1
+/// residual of the two solves compared: both stationary vectors are within
+/// about (mixing time) x residual of the exact one in L1.  The same
+/// resolution floor as perfbench's differential oracle.
+constexpr double kFloorFactor = 1e5;
+/// Solved past the default 1e-12 so the floor sits well below the BER.
+constexpr double kTolerance = 1e-14;
+
+enum class Representation { kExplicit, kKronecker };
+
+struct MirrorCase {
+  Representation representation;
+  std::size_t phase_points;
+  double drift;
+};
+
+std::string mirror_label(const MirrorCase& c) {
+  std::string drift = std::to_string(c.drift).substr(0, 5);  // "0.003"
+  std::replace(drift.begin(), drift.end(), '.', '_');
+  return std::string(c.representation == Representation::kExplicit
+                         ? "explicit"
+                         : "kronecker") +
+         "_M" + std::to_string(c.phase_points) + "_drift" + drift;
+}
+
+void PrintTo(const MirrorCase& c, std::ostream* os) { *os << mirror_label(c); }
+
+struct MirrorMeasures {
+  double ber = 0.0;
+  double mean = 0.0;
+  double rms = 0.0;
+  double up = 0.0;
+  double down = 0.0;
+  double residual = 0.0;
+};
+
+MirrorMeasures solve_measures(Representation representation,
+                              const CdrConfig& config) {
+  const CdrModel model(config);
+  MirrorMeasures out;
+  if (representation == Representation::kExplicit) {
+    const CdrChain chain = model.build();
+    solvers::MultilevelOptions options;
+    options.tolerance = kTolerance;
+    const solvers::StationaryResult result = solve_stationary(chain, options);
+    EXPECT_TRUE(result.stats.converged) << config.summary();
+    const std::vector<double>& eta = result.distribution;
+    const PhaseErrorMoments moments = phase_error_moments(model, chain, eta);
+    const SlipStats slips = slip_stats(model, chain, eta);
+    out = {bit_error_rate(model, chain, eta), moments.mean, moments.rms,
+           slips.rate_up, slips.rate_down, result.stats.residual};
+  } else {
+    const KroneckerCdrModel kron(model);
+    robust::RobustOptions options;
+    options.tolerance = kTolerance;
+    const robust::RobustResult result = solve_stationary_robust(kron, options);
+    EXPECT_TRUE(result.report.converged) << config.summary();
+    const std::vector<double>& eta = result.distribution;
+    const PhaseErrorMoments moments = kron.phase_error_moments(eta);
+    const SlipStats slips = kron.slip_stats(eta);
+    out = {kron.bit_error_rate(eta), moments.mean, moments.rms,
+           slips.rate_up, slips.rate_down, result.report.residual};
+  }
+  return out;
+}
+
+class MirrorTest : public ::testing::TestWithParam<MirrorCase> {};
+
+TEST_P(MirrorTest, NegatedDriftMirrorsTheMeasures) {
+  const MirrorCase& c = GetParam();
+  CdrConfig config;
+  config.phase_points = c.phase_points;
+  config.counter_length = 4;
+  config.sigma_nw = 0.08;
+  config.nr_mean = c.drift;
+  CdrConfig mirrored = config;
+  mirrored.nr_mean = -c.drift;
+
+  const MirrorMeasures pos = solve_measures(c.representation, config);
+  const MirrorMeasures neg = solve_measures(c.representation, mirrored);
+  const double floor = kFloorFactor * std::max(pos.residual, neg.residual);
+  SCOPED_TRACE("resolution floor " + std::to_string(floor));
+
+  // The relation below is only a check where the measures are resolved.
+  ASSERT_GT(pos.ber, floor);
+  ASSERT_GT(std::abs(pos.mean), floor);
+
+  EXPECT_NEAR(pos.ber, neg.ber, floor);
+  EXPECT_NEAR(pos.rms, neg.rms, floor);
+  EXPECT_NEAR(pos.mean, -neg.mean, floor);
+  // Slip flux swaps direction.  A flux below the floor is unresolved, so
+  // there only the larger direction must flip.
+  if (std::max(pos.up, neg.down) > floor) {
+    EXPECT_NEAR(pos.up, neg.down, floor);
+  }
+  if (std::max(pos.down, neg.up) > floor) {
+    EXPECT_NEAR(pos.down, neg.up, floor);
+  }
+  EXPECT_NE(pos.up, pos.down);
+  EXPECT_EQ(pos.up > pos.down, neg.down > neg.up)
+      << "up:down " << pos.up << ":" << pos.down << " vs mirrored "
+      << neg.up << ":" << neg.down;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DriftSign, MirrorTest,
+    ::testing::Values(MirrorCase{Representation::kExplicit, 256, 0.003},
+                      MirrorCase{Representation::kExplicit, 256, 0.005},
+                      MirrorCase{Representation::kExplicit, 512, 0.003},
+                      MirrorCase{Representation::kExplicit, 512, 0.005},
+                      MirrorCase{Representation::kKronecker, 256, 0.003},
+                      MirrorCase{Representation::kKronecker, 256, 0.005}),
+    [](const ::testing::TestParamInfo<MirrorCase>& info) {
+      return mirror_label(info.param);
+    });
 
 }  // namespace
 }  // namespace stocdr::cdr

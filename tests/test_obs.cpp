@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "obs/json.hpp"
-#include "obs/live/openmetrics.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "obs/trace.hpp"
@@ -286,119 +285,6 @@ TEST(MetricsJsonTest, SerializesEveryKindAndParsesBack) {
   EXPECT_NE(json.find("\"kind\":\"counter\""), std::string::npos);
   EXPECT_NE(json.find("\"kind\":\"histogram\""), std::string::npos);
   EXPECT_NE(json.find("\"p99\":3"), std::string::npos);
-}
-
-// --- histogram merge (fleet aggregation) ------------------------------------
-
-TEST(HistogramMergeTest, MergingTwoHalvesEqualsObservingEverything) {
-  // The fleet-dashboard contract: because every process shares the fixed
-  // bucket layout, merging worker states is EXACT — count, sum, extrema,
-  // bucket counts, and therefore the quantile estimates, all match a
-  // single histogram that observed the union.
-  Histogram whole;
-  Histogram half_a;
-  Histogram half_b;
-  for (int i = 1; i <= 1000; ++i) {
-    const double v = 0.001 * static_cast<double>(i * i);
-    whole.observe(v);
-    (i % 2 == 0 ? half_a : half_b).observe(v);
-  }
-  half_a.merge(half_b);
-  const Histogram::State merged = half_a.state();
-  const Histogram::State expected = whole.state();
-  EXPECT_EQ(merged.count, expected.count);
-  EXPECT_DOUBLE_EQ(merged.sum, expected.sum);
-  EXPECT_DOUBLE_EQ(merged.min, expected.min);
-  EXPECT_DOUBLE_EQ(merged.max, expected.max);
-  EXPECT_EQ(merged.underflow, expected.underflow);
-  EXPECT_EQ(merged.overflow, expected.overflow);
-  EXPECT_EQ(merged.buckets, expected.buckets);
-  EXPECT_DOUBLE_EQ(half_a.quantile(0.5), whole.quantile(0.5));
-  EXPECT_DOUBLE_EQ(half_a.quantile(0.9), whole.quantile(0.9));
-  EXPECT_DOUBLE_EQ(half_a.quantile(0.99), whole.quantile(0.99));
-}
-
-TEST(HistogramMergeTest, MergingAnEmptyStateIsANoOp) {
-  Histogram histogram;
-  histogram.observe(2.0);
-  histogram.observe(8.0);
-  histogram.merge(Histogram::State{});  // count 0: must not touch extrema
-  EXPECT_EQ(histogram.count(), 2u);
-  EXPECT_DOUBLE_EQ(histogram.min(), 2.0);
-  EXPECT_DOUBLE_EQ(histogram.max(), 8.0);
-}
-
-TEST(MetricsRegistryTest, MergeSnapshotAddsCountersSetsGaugesMergesHistograms) {
-  auto& registry = MetricsRegistry::instance();
-  registry.counter("obs.test.fleet.counter").reset();
-  registry.counter("obs.test.fleet.counter").add(3);
-  registry.gauge("obs.test.fleet.gauge").set(1.0);
-  registry.histogram("obs.test.fleet.histogram").reset();
-  registry.histogram("obs.test.fleet.histogram").observe(1.0);
-
-  // A "worker snapshot" as openmetrics_to_samples would reconstruct it.
-  Histogram worker_histogram;
-  worker_histogram.observe(100.0);
-  worker_histogram.observe(400.0);
-  const Histogram::State worker = worker_histogram.state();
-  std::vector<MetricSample> samples(3);
-  samples[0].name = "obs.test.fleet.counter";
-  samples[0].kind = MetricSample::Kind::kCounter;
-  samples[0].value = 5.0;
-  samples[1].name = "obs.test.fleet.gauge";
-  samples[1].kind = MetricSample::Kind::kGauge;
-  samples[1].value = 9.0;
-  samples[2].name = "obs.test.fleet.histogram";
-  samples[2].kind = MetricSample::Kind::kHistogram;
-  samples[2].count = worker.count;
-  samples[2].sum = worker.sum;
-  samples[2].min = worker.min;
-  samples[2].max = worker.max;
-  samples[2].underflow = worker.underflow;
-  samples[2].overflow = worker.overflow;
-  samples[2].buckets.assign(worker.buckets.begin(), worker.buckets.end());
-  registry.merge_snapshot(samples);
-
-  EXPECT_EQ(registry.counter("obs.test.fleet.counter").value(), 8u);
-  EXPECT_DOUBLE_EQ(registry.gauge("obs.test.fleet.gauge").value(), 9.0);
-  auto& merged = registry.histogram("obs.test.fleet.histogram");
-  EXPECT_EQ(merged.count(), 3u);
-  EXPECT_DOUBLE_EQ(merged.min(), 1.0);
-  EXPECT_DOUBLE_EQ(merged.max(), 400.0);
-}
-
-TEST(OpenMetricsRoundtripTest, HistogramBucketStateSurvivesExportAndParse) {
-  // to_openmetrics -> parse_openmetrics -> openmetrics_to_samples must
-  // regain the raw bucket state, or cross-worker merges would stop being
-  // exact.  (Names come back with '_' where the original had '.'.)
-  auto& registry = MetricsRegistry::instance();
-  auto& histogram = registry.histogram("obs.test.om.roundtrip");
-  histogram.reset();
-  for (int i = 1; i <= 50; ++i) histogram.observe(0.01 * i);
-  histogram.observe(1e-15);  // underflow bucket
-  histogram.observe(1e15);   // overflow bucket
-
-  const std::string text = to_openmetrics(registry.snapshot());
-  const OpenMetricsDocument doc = parse_openmetrics(text);
-  ASSERT_TRUE(doc.complete);
-  const std::vector<MetricSample> samples = openmetrics_to_samples(doc);
-  const auto it = std::find_if(samples.begin(), samples.end(),
-                               [](const MetricSample& sample) {
-                                 return sample.name ==
-                                        "obs_test_om_roundtrip";
-                               });
-  ASSERT_NE(it, samples.end());
-  EXPECT_EQ(it->kind, MetricSample::Kind::kHistogram);
-  const Histogram::State expected = histogram.state();
-  EXPECT_EQ(it->count, expected.count);
-  EXPECT_DOUBLE_EQ(it->min, expected.min);
-  EXPECT_DOUBLE_EQ(it->max, expected.max);
-  EXPECT_EQ(it->underflow, expected.underflow);
-  EXPECT_EQ(it->overflow, expected.overflow);
-  ASSERT_EQ(it->buckets.size(), expected.buckets.size());
-  for (std::size_t i = 0; i < expected.buckets.size(); ++i) {
-    EXPECT_EQ(it->buckets[i], expected.buckets[i]) << "bucket " << i;
-  }
 }
 
 // --- sinks ------------------------------------------------------------------

@@ -238,18 +238,25 @@ TEST(FoldedStackTest, PrefixesThreadsWhenMultipleTidsPresent) {
 TEST(ChromeTraceTest, ProducesValidTraceEventJson) {
   TraceRoundTrip fixture;
   SpanRecord root = span_record("solve", 1, 0, 0, 2000, 10'000'000);
+  root.pid = 4242;
   root.attrs.emplace_back("states", AttrValue{std::uint64_t{64}});
   root.attrs.emplace_back("method", AttrValue{std::string("mg")});
-  fixture.write_spans({root});
+  // A pid-less span (pre-pid trace schema) still gets a process track.
+  const SpanRecord legacy = span_record("legacy", 2, 0, 0, 3000, 1'000);
+  fixture.write_spans({root, legacy});
   const TraceFile trace = fixture.read();
 
   const std::string chrome = to_chrome_trace(trace);
   const auto doc = parse_json(chrome);
   ASSERT_TRUE(doc.has_value()) << chrome;
   ASSERT_NE(doc->find("traceEvents"), nullptr);
-  ASSERT_EQ(doc->find("traceEvents")->array.size(), 1u);
+  ASSERT_EQ(doc->find("traceEvents")->array.size(), 2u);
   const JsonValue& event = doc->find("traceEvents")->array[0];
   EXPECT_EQ(event.find("ph")->string_or(""), "X");
+  // One Chrome process track per emitting pid; pid 0 shows as process 1.
+  EXPECT_DOUBLE_EQ(event.find("pid")->number_or(0), 4242.0);
+  EXPECT_DOUBLE_EQ(
+      doc->find("traceEvents")->array[1].find("pid")->number_or(0), 1.0);
   EXPECT_EQ(event.find("name")->string_or(""), "solve");
   EXPECT_DOUBLE_EQ(event.find("ts")->number_or(0), 2.0);       // us
   EXPECT_DOUBLE_EQ(event.find("dur")->number_or(0), 10'000.0); // us
@@ -258,109 +265,6 @@ TEST(ChromeTraceTest, ProducesValidTraceEventJson) {
   // The run manifest rides along as metadata.
   ASSERT_NE(doc->find("metadata"), nullptr);
   EXPECT_NE(doc->find("metadata")->find("git_sha"), nullptr);
-}
-
-// --- cross-process merge (fleet traces) -------------------------------------
-
-TraceSpan make_span(const char* name, std::uint64_t id, std::uint64_t parent,
-                    std::uint32_t depth, std::uint32_t pid) {
-  TraceSpan span;
-  span.name = name;
-  span.id = id;
-  span.parent = parent;
-  span.depth = depth;
-  span.tid = 1;
-  span.pid = pid;
-  span.ts_ns = 1000;
-  span.dur_ns = 500;
-  return span;
-}
-
-/// Parent process (pid 100) spawned a worker (pid 200) whose root span
-/// carries the cross-process parent reference.  Span ids deliberately
-/// collide across the two files.
-std::vector<TraceFile> fleet_traces() {
-  TraceFile parent;
-  parent.spans.push_back(make_span("sweep.fleet", 1, 0, 0, 100));
-  parent.total_lines = 1;
-
-  TraceFile worker;
-  TraceSpan shard = make_span("sweep.shard", 1, 0, 0, 200);
-  shard.remote_parent_pid = 100;
-  shard.remote_parent_id = 1;
-  worker.spans.push_back(shard);
-  worker.spans.push_back(make_span("solve", 2, 1, 1, 200));
-  worker.total_lines = 2;
-
-  std::vector<TraceFile> files;
-  files.push_back(std::move(parent));
-  files.push_back(std::move(worker));
-  return files;
-}
-
-TEST(MergeTracesTest, RenumbersIdsAndStitchesRemoteParents) {
-  const TraceFile merged = merge_traces(fleet_traces());
-  ASSERT_EQ(merged.spans.size(), 3u);
-  EXPECT_EQ(merged.total_lines, 3u);
-
-  const TraceSpan& fleet = merged.spans[0];
-  const TraceSpan& shard = merged.spans[1];
-  const TraceSpan& solve = merged.spans[2];
-  EXPECT_EQ(fleet.name, "sweep.fleet");
-  EXPECT_EQ(shard.name, "sweep.shard");
-
-  // Colliding ids from different processes were renumbered apart...
-  EXPECT_NE(fleet.id, shard.id);
-  EXPECT_NE(shard.id, solve.id);
-  // ...with intra-process parent links remapped consistently...
-  EXPECT_EQ(solve.parent, shard.id);
-  // ...and the worker root stitched under the spawning span.
-  EXPECT_EQ(shard.parent, fleet.id);
-  EXPECT_EQ(shard.depth, fleet.depth + 1);
-  EXPECT_EQ(solve.depth, shard.depth + 1);  // subtree shifted along
-
-  ASSERT_EQ(merged.flows.size(), 1u);
-  EXPECT_EQ(merged.flows[0].from_index, 0u);
-  EXPECT_EQ(merged.flows[0].to_index, 1u);
-}
-
-TEST(MergeTracesTest, UnresolvableRemoteParentLeavesSpanAsRoot) {
-  std::vector<TraceFile> files = fleet_traces();
-  files[1].spans[0].remote_parent_id = 999;  // no such span anywhere
-  const TraceFile merged = merge_traces(std::move(files));
-  ASSERT_EQ(merged.spans.size(), 3u);
-  EXPECT_EQ(merged.spans[1].parent, 0u);  // stays a root
-  EXPECT_TRUE(merged.flows.empty());
-}
-
-TEST(ChromeTraceTest, MergedTraceCarriesRealPidsAndFlowArrows) {
-  const TraceFile merged = merge_traces(fleet_traces());
-  const std::string chrome = to_chrome_trace(merged);
-  const auto doc = parse_json(chrome);
-  ASSERT_TRUE(doc.has_value()) << chrome;
-  const JsonValue* events = doc->find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  // 3 duration events + one s/f flow pair.
-  ASSERT_EQ(events->array.size(), 5u);
-  bool saw_start = false;
-  bool saw_finish = false;
-  bool saw_worker_pid = false;
-  for (const JsonValue& event : events->array) {
-    const std::string ph(event.find("ph")->string_or(""));
-    if (ph == "s") {
-      saw_start = true;
-      EXPECT_DOUBLE_EQ(event.find("pid")->number_or(0), 100.0);
-    } else if (ph == "f") {
-      saw_finish = true;
-      EXPECT_EQ(event.find("bp")->string_or(""), "e");
-      EXPECT_DOUBLE_EQ(event.find("pid")->number_or(0), 200.0);
-    } else if (event.find("pid")->number_or(0) == 200.0) {
-      saw_worker_pid = true;
-    }
-  }
-  EXPECT_TRUE(saw_start);
-  EXPECT_TRUE(saw_finish);
-  EXPECT_TRUE(saw_worker_pid);
 }
 
 // --- manifest ---------------------------------------------------------------

@@ -2,17 +2,12 @@
 // healthy, empty, and missing inputs.  The binary path is injected by CMake
 // as STOCDR_OBSCTL_PATH.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
+#include "test_util.hpp"
 
 namespace {
 
@@ -21,32 +16,10 @@ std::string temp_path(const std::string& file) {
 }
 
 /// Runs obsctl with `args`, captures stdout+stderr into `output`, returns
-/// the exit code (-1 if the shell failed).  The capture file is unique per
-/// test process: ctest runs these tests concurrently out of one TempDir,
-/// and a shared path would let parallel tests clobber each other's output.
+/// the exit code (-1 if the shell failed).
 int run_obsctl(const std::string& args, std::string* output = nullptr) {
-#if defined(__unix__) || defined(__APPLE__)
-  const std::string out_path = temp_path(
-      "stocdr_obsctl_out_" + std::to_string(::getpid()) + ".txt");
-#else
-  const std::string out_path = temp_path("stocdr_obsctl_out.txt");
-#endif
-  const std::string command = std::string(STOCDR_OBSCTL_PATH) + " " + args +
-                              " >" + out_path + " 2>&1";
-  const int status = std::system(command.c_str());
-  if (output != nullptr) {
-    std::ifstream in(out_path);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    *output = buffer.str();
-  }
-  std::remove(out_path.c_str());
-#if defined(__unix__) || defined(__APPLE__)
-  if (WIFEXITED(status)) return WEXITSTATUS(status);
-  return -1;
-#else
-  return status;
-#endif
+  return stocdr::test::run_command(
+      std::string(STOCDR_OBSCTL_PATH) + " " + args, output);
 }
 
 void write_file(const std::string& path, const std::string& content) {
@@ -64,9 +37,12 @@ const char kValidTrace[] =
 // --- usage errors (exit 2) --------------------------------------------------
 
 TEST(ObsctlCliTest, UnknownCommandExitsTwo) {
-  std::string output;
-  EXPECT_EQ(run_obsctl("frobnicate", &output), 2);
-  EXPECT_NE(output.find("unknown command"), std::string::npos);
+  for (const char* command : {"frobnicate", "fleet"}) {
+    std::string output;
+    EXPECT_EQ(run_obsctl(command, &output), 2) << command;
+    EXPECT_NE(output.find("unknown command"), std::string::npos) << command;
+    EXPECT_NE(output.find("usage:"), std::string::npos) << command;
+  }
 }
 
 TEST(ObsctlCliTest, NoArgumentsExitsTwo) {
@@ -286,120 +262,60 @@ TEST(ObsctlCliTest, PerfMarksUnavailableCounters) {
   std::remove(path.c_str());
 }
 
-// --- multi-file traces ------------------------------------------------------
+// --- one trace per reader ---------------------------------------------------
 
-/// Two single-process traces with colliding span ids but distinct pids, as
-/// a two-worker fleet run leaves behind.
-const char kWorkerATrace[] =
-    "{\"manifest\":{\"git_sha\":\"abc\",\"build_type\":\"Release\"}}\n"
-    "{\"name\":\"sweep.fleet\",\"id\":1,\"parent\":0,\"depth\":0,\"tid\":1,"
-    "\"ts_ns\":0,\"dur_ns\":9000,\"pid\":100}\n";
-const char kWorkerBTrace[] =
-    "{\"manifest\":{\"git_sha\":\"abc\",\"build_type\":\"Release\"}}\n"
-    "{\"name\":\"sweep.shard\",\"id\":1,\"parent\":0,\"depth\":0,\"tid\":1,"
-    "\"ts_ns\":100,\"dur_ns\":5000,\"pid\":200,"
-    "\"remote_parent_pid\":100,\"remote_parent_id\":1}\n";
-
-TEST(ObsctlCliTest, SummarizeMergesMultipleTraceFiles) {
-  const std::string a = temp_path("stocdr_fleet_a.jsonl");
-  const std::string b = temp_path("stocdr_fleet_b.jsonl");
-  write_file(a, kWorkerATrace);
-  write_file(b, kWorkerBTrace);
-  std::string output;
-  EXPECT_EQ(run_obsctl("summarize " + a + " " + b, &output), 0);
-  EXPECT_NE(output.find("processes: 2"), std::string::npos);
-  EXPECT_NE(output.find("spans: 2"), std::string::npos);
-  EXPECT_NE(output.find("sweep.shard"), std::string::npos);
-  std::remove(a.c_str());
-  std::remove(b.c_str());
+TEST(ObsctlCliTest, SecondTracePathIsAUsageError) {
+  const std::string present = temp_path("stocdr_second_path.jsonl");
+  write_file(present, kValidTrace);
+  const std::string absent = temp_path("stocdr_second_path_absent.jsonl");
+  for (const char* cmd : {"summarize", "flame", "chrome", "events"}) {
+    std::string output;
+    EXPECT_EQ(run_obsctl(std::string(cmd) + " " + present + " " + present,
+                         &output),
+              2)
+        << cmd;
+    EXPECT_NE(output.find("usage:"), std::string::npos) << cmd;
+    // A missing first path does not turn the second into a fallback.
+    EXPECT_EQ(run_obsctl(std::string(cmd) + " " + absent + " " + present), 2)
+        << cmd;
+  }
+  std::remove(present.c_str());
 }
 
-TEST(ObsctlCliTest, SummarizeSkipsMissingFileWhenAnotherYieldsSpans) {
-  const std::string a = temp_path("stocdr_fleet_present.jsonl");
-  write_file(a, kWorkerATrace);
-  std::string output;
-  EXPECT_EQ(run_obsctl("summarize " + temp_path("stocdr_fleet_absent.jsonl") +
-                           " " + a,
-                       &output),
-            0);
-  // The missing worker is diagnosed but does not fail the merge.
-  EXPECT_NE(output.find("was tracing enabled"), std::string::npos);
-  EXPECT_NE(output.find("sweep.fleet"), std::string::npos);
-  std::remove(a.c_str());
-}
+// --- numeric flags ----------------------------------------------------------
 
-TEST(ObsctlCliTest, ChromeExportOfMergedTraceCarriesFlowArrow) {
-  const std::string a = temp_path("stocdr_chrome_a.jsonl");
-  const std::string b = temp_path("stocdr_chrome_b.jsonl");
-  const std::string out = temp_path("stocdr_chrome_merged.json");
-  write_file(a, kWorkerATrace);
-  write_file(b, kWorkerBTrace);
-  EXPECT_EQ(run_obsctl("chrome " + a + " " + b + " -o " + out), 0);
-  std::ifstream in(out);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string json = buffer.str();
-  // Real pids on the X events plus one s/f flow pair across processes.
-  EXPECT_NE(json.find("\"pid\":100"), std::string::npos);
-  EXPECT_NE(json.find("\"pid\":200"), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos);
-  std::remove(a.c_str());
-  std::remove(b.c_str());
-  std::remove(out.c_str());
-}
-
-// --- fleet ------------------------------------------------------------------
-
-/// One worker's OpenMetrics snapshot: heartbeat + pid, a counter, and a
-/// one-bucket histogram (value 1.0 lands in bucket 96 of the log grid).
-std::string worker_om(int pid, int count, int done) {
-  std::ostringstream om;
-  om << "stocdr_export_heartbeat 4\n"
-     << "stocdr_process_pid " << pid << "\n"
-     << "stocdr_sweep_points_done_total " << done << "\n"
-     << "stocdr_solve_seconds{quantile=\"0.5\"} 1\n"
-     << "stocdr_solve_seconds_count " << count << "\n"
-     << "stocdr_solve_seconds_sum " << count << "\n"
-     << "stocdr_solve_seconds_min 1\n"
-     << "stocdr_solve_seconds_max 1\n"
-     << "stocdr_solve_seconds_bucket{i=\"96\"} " << count << "\n"
-     << "# EOF\n";
-  return om.str();
-}
-
-TEST(ObsctlCliTest, FleetMergesTwoWorkerSnapshots) {
-  const std::string a = temp_path("stocdr_fleet_a.om");
-  const std::string b = temp_path("stocdr_fleet_b.om");
-  write_file(a, worker_om(111, 3, 2));
-  write_file(b, worker_om(222, 2, 3));
-  std::string output;
-  EXPECT_EQ(run_obsctl("fleet " + a + " " + b, &output), 0);
-  EXPECT_NE(output.find("workers: 2"), std::string::npos);
-  // Both pids in the per-worker status table.
-  EXPECT_NE(output.find("111"), std::string::npos);
-  EXPECT_NE(output.find("222"), std::string::npos);
-  // Counters add (2+3) and histograms merge exactly (3+2 observations).
-  EXPECT_NE(output.find("sweep_points_done"), std::string::npos);
-  EXPECT_NE(output.find("solve_seconds"), std::string::npos);
-  EXPECT_NE(output.find("5"), std::string::npos);
-  std::remove(a.c_str());
-  std::remove(b.c_str());
-}
-
-TEST(ObsctlCliTest, FleetWithOnlyIncompleteSnapshotsExitsThree) {
-  const std::string path = temp_path("stocdr_fleet_torn.om");
-  write_file(path, "stocdr_export_heartbeat 1\n");  // no "# EOF"
-  std::string output;
-  EXPECT_EQ(run_obsctl("fleet " + path, &output), 3);
-  EXPECT_NE(output.find("incomplete"), std::string::npos);
-  EXPECT_NE(output.find("workers: 0"), std::string::npos);
+TEST(ObsctlCliTest, MalformedNumericFlagValuesExitTwoNamingTheFlag) {
+  const std::string path = temp_path("stocdr_flag_values_bench.json");
+  write_file(path, kProfiledArtifact);
+  const std::string diff = "bench-diff " + path + " " + path;
+  const std::string roofline = "roofline " + path;
+  const struct {
+    std::string args;
+    const char* flag;
+  } cases[] = {
+      {diff + " --min-seconds abc", "--min-seconds"},
+      {diff + " --min-seconds 0.05x", "--min-seconds"},
+      {diff + " --min-seconds -1", "--min-seconds"},
+      {diff + " --min-seconds nan", "--min-seconds"},
+      {roofline + " --peak-gbps 10x", "--peak-gbps"},
+      {roofline + " --peak-gbps inf", "--peak-gbps"},
+  };
+  for (const auto& c : cases) {
+    std::string output;
+    EXPECT_EQ(run_obsctl(c.args, &output), 2) << c.args;
+    EXPECT_NE(output.find(c.flag), std::string::npos) << c.args << output;
+  }
+  // Well-formed values still work.
+  EXPECT_EQ(run_obsctl(diff + " --min-seconds 0.05"), 0);
+  EXPECT_EQ(run_obsctl(roofline + " --peak-gbps 10"), 0);
   std::remove(path.c_str());
 }
 
 // --- events -----------------------------------------------------------------
 
 // A trace file: manifest, a span, and event lines between and after it.
+// The event lines carry the `trace_id` field older traces hold; readers
+// ignore it.
 const char kEventTrace[] =
     "{\"manifest\":{\"git_sha\":\"abc\",\"build_type\":\"Release\"}}\n"
     "{\"event\":\"sweep.start\",\"severity\":\"info\",\"ts_ns\":1000000000,"
@@ -454,38 +370,6 @@ TEST(ObsctlCliTest, EventsMissingFileExitsThreeWithHint) {
   std::string output;
   EXPECT_EQ(run_obsctl("events " + temp_path("no_events.jsonl"), &output), 3);
   EXPECT_NE(output.find("STOCDR_TRACE_FILE"), std::string::npos);
-}
-
-TEST(ObsctlCliTest, EventsMergesTraceFilesInWallTimeOrder) {
-  // Two workers' trace files whose events interleave in wall time.
-  const std::string a = temp_path("stocdr_events_merge.jsonl");
-  const std::string b = a + ".shard1";
-  const auto event = [](const char* kind, int ts_s, int pid) {
-    return "{\"event\":\"" + std::string(kind) +
-           "\",\"severity\":\"info\",\"ts_ns\":" + std::to_string(ts_s) +
-           "000000000,\"pid\":" + std::to_string(pid) +
-           ",\"trace_id\":\"00000000000000ab\",\"span_id\":0}\n";
-  };
-  write_file(a, event("first.a", 1, 101) + event("third.a", 3, 101));
-  write_file(b, event("second.b", 2, 202) + event("fourth.b", 4, 202));
-  std::string output;
-  EXPECT_EQ(run_obsctl("events '" + a + "*'", &output), 0);
-  const std::size_t p1 = output.find("first.a");
-  const std::size_t p2 = output.find("second.b");
-  const std::size_t p3 = output.find("third.a");
-  const std::size_t p4 = output.find("fourth.b");
-  ASSERT_NE(p1, std::string::npos);
-  ASSERT_NE(p2, std::string::npos);
-  ASSERT_NE(p3, std::string::npos);
-  ASSERT_NE(p4, std::string::npos);
-  EXPECT_LT(p1, p2);
-  EXPECT_LT(p2, p3);
-  EXPECT_LT(p3, p4);
-  EXPECT_NE(output.find("202"), std::string::npos);
-  EXPECT_NE(output.find("+3.000s"), std::string::npos);
-  EXPECT_NE(output.find("events: 4  alarms: 0"), std::string::npos);
-  std::remove(a.c_str());
-  std::remove(b.c_str());
 }
 
 TEST(ObsctlCliTest, SummarizeIgnoresEventLinesInATrace) {

@@ -12,11 +12,14 @@
 
 #include "obs/analyze/json_parse.hpp"
 #include "obs/analyze/reader.hpp"
-#include "obs/dist/context.hpp"
 #include "obs/live/flight_recorder.hpp"
 #include "obs/sink.hpp"
 #include "obs/trace.hpp"
 #include "test_util.hpp"
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <unistd.h>
+#endif
 
 namespace stocdr::obs::evt {
 namespace {
@@ -82,9 +85,10 @@ TEST_F(TraceEventTest, WritesSchemaCompleteOrderedRecords) {
   EXPECT_EQ(first->find("event")->string_or(""), "rung.failure");
   EXPECT_EQ(first->find("severity")->string_or(""), "warning");
   EXPECT_GT(first->find("ts_ns")->uint_or(0), 0u);
-  EXPECT_EQ(first->find("pid")->uint_or(0), dist::process_pid());
-  // trace_id renders as fixed-width lowercase hex.
-  EXPECT_EQ(first->find("trace_id")->string_or("").size(), 16u);
+#if defined(__unix__) || defined(__APPLE__)
+  EXPECT_EQ(first->find("pid")->uint_or(0),
+            static_cast<std::uint64_t>(::getpid()));
+#endif
   // The innermost open span at emission.
   EXPECT_EQ(first->find("span_id")->uint_or(0), span_id);
   ASSERT_NE(first->find("attrs"), nullptr);
@@ -102,9 +106,6 @@ TEST_F(TraceEventTest, WritesSchemaCompleteOrderedRecords) {
   EXPECT_EQ(second->find("severity")->string_or(""), "alarm");
   EXPECT_EQ(second->find("attrs")->find("negatives")->uint_or(0), 3u);
   EXPECT_EQ(second->find("span_id")->uint_or(1), 0u);  // no span open
-  // Every record of one process shares the process trace id.
-  EXPECT_EQ(second->find("trace_id")->string_or(""),
-            first->find("trace_id")->string_or(""));
 
   const auto third = parse_json(lines[4]);
   ASSERT_TRUE(third.has_value());

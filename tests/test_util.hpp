@@ -1,11 +1,16 @@
 // Shared fixtures and generators for the stocdr test suite.
 #pragma once
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -137,6 +142,25 @@ class TempFilesTest : public ::testing::Test {
     }
   }
 };
+
+/// Runs `command` through the shell with stdout and stderr captured into
+/// `output` (when given); returns the exit code, or -1 when the command did
+/// not exit normally.  The capture file is a unique_temp_path, so tests
+/// that ctest runs side by side never read each other's output.
+inline int run_command(const std::string& command,
+                       std::string* output = nullptr) {
+  const std::string out_path = unique_temp_path("command_out.txt");
+  const int status =
+      std::system((command + " >" + out_path + " 2>&1").c_str());
+  if (output != nullptr) {
+    std::ifstream in(out_path);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    *output = buffer.str();
+  }
+  std::remove(out_path.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
 
 /// L1 distance between two vectors.
 inline double l1(const std::vector<double>& a, const std::vector<double>& b) {

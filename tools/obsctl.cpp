@@ -1,18 +1,11 @@
 // stocdr-obsctl — the consumption half of the observability stack.
 //
 // Commands:
-//   summarize  <trace.jsonl>... [--json]     per-name cost table (or JSON);
-//                                            multiple files / globs are
-//                                            merged into one cross-process
-//                                            trace (fleet runs)
-//   flame      <trace.jsonl>... [-o out.folded]
-//                                            folded stacks (flamegraph.pl,
+//   summarize  <trace.jsonl> [--json]        per-name cost table (or JSON)
+//   flame      <trace.jsonl> [-o out.folded] folded stacks (flamegraph.pl,
 //                                            speedscope)
-//   chrome     <trace.jsonl>... [-o out.json]
-//                                            Chrome trace_event JSON
-//                                            (Perfetto, chrome://tracing);
-//                                            merged traces gain flow arrows
-//                                            between spawner and worker
+//   chrome     <trace.jsonl> [-o out.json]   Chrome trace_event JSON
+//                                            (Perfetto, chrome://tracing)
 //   bench-diff <old.json> <new.json> [--threshold P%] [--min-seconds S]
 //              [--instr-threshold P%]        BENCH artifact regression gate
 //   perf       <BENCH.json>                  per-span perf-counter report
@@ -28,15 +21,9 @@
 //   watch      <metrics.om> [--interval MS] [--count N]
 //                                            poll a live exporter file and
 //                                            print heartbeat/staleness
-//   fleet      <metrics.om>... [--stale-seconds S]
-//                                            aggregate N workers' exporter
-//                                            snapshots into one dashboard
-//                                            (exact histogram merge) with
-//                                            per-worker staleness
-//   events     <trace.jsonl>... [--kind K]   pretty-print the event records
-//                                            of one or more traces, merged
-//                                            and ordered by wall time; exits
-//                                            1 when any alarm-severity
+//   events     <trace.jsonl> [--kind K]     pretty-print the event records
+//                                            of a trace in wall-time order;
+//                                            exits 1 when any alarm-severity
 //                                            record is shown
 //   journal    <sweep.jsonl>                 inspect a resumable sweep
 //                                            journal (read-only: header,
@@ -47,23 +34,18 @@
 //
 // Exit codes: 0 ok / no regression, 1 bench-diff found a regression,
 // health found an alarm, events saw an alarm record, or checkpoint failed
-// validation, 2 usage or I/O error, 3 input exists but holds no data for
-// the command (empty / malformed-only / marker-only trace — for multi-file
-// commands only when NO file yields data — a BENCH artifact without a perf
-// or mem section, a fleet with no complete snapshot, traces with no
-// matching event records, or a journal with no completed points —
-// diagnostic on stderr).
+// validation, 2 usage or I/O error (a second trace path, or a malformed
+// flag value, is a usage error), 3 input exists but holds no data for the
+// command (missing / empty / malformed-only / marker-only trace, a BENCH
+// artifact without a perf or mem section, a trace with no matching event
+// records, or a journal with no completed points — diagnostic on stderr).
 // Malformed trace lines are skipped and counted, never fatal.
-#include <glob.h>
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
 #include <fstream>
 #include <limits>
 #include <optional>
@@ -78,7 +60,6 @@
 #include "obs/analyze/json_parse.hpp"
 #include "obs/analyze/reader.hpp"
 #include "obs/live/openmetrics.hpp"
-#include "obs/metrics.hpp"
 #include "robust/checkpoint/checkpoint.hpp"
 #include "support/error.hpp"
 #include "support/text.hpp"
@@ -92,9 +73,9 @@ using namespace stocdr::obs::analyze;
 int usage(std::FILE* out) {
   std::fprintf(out,
                "usage: stocdr-obsctl <command> [args]\n"
-               "  summarize  <trace.jsonl>... [--json]\n"
-               "  flame      <trace.jsonl>... [-o out.folded]\n"
-               "  chrome     <trace.jsonl>... [-o out.json]\n"
+               "  summarize  <trace.jsonl> [--json]\n"
+               "  flame      <trace.jsonl> [-o out.folded]\n"
+               "  chrome     <trace.jsonl> [-o out.json]\n"
                "  bench-diff <old.json> <new.json> [--threshold P%%]"
                " [--min-seconds S]\n"
                "             [--instr-threshold P%%]\n"
@@ -103,8 +84,7 @@ int usage(std::FILE* out) {
                "  roofline   <BENCH.json> [--peak-gbps X]\n"
                "  health     <metrics.om>\n"
                "  watch      <metrics.om> [--interval MS] [--count N]\n"
-               "  fleet      <metrics.om>... [--stale-seconds S]\n"
-               "  events     <trace.jsonl>... [--kind K]\n"
+               "  events     <trace.jsonl> [--kind K]\n"
                "  journal    <sweep.jsonl>\n"
                "  checkpoint <file>\n");
   return out == stdout ? 0 : 2;
@@ -126,66 +106,35 @@ int emit(const std::string& text, const std::string& path) {
   return 0;
 }
 
-/// Expands shell-style glob patterns (a pattern matching nothing is kept
-/// literally, so a plain missing path still gets its own diagnostic).
-std::vector<std::string> expand_globs(
-    const std::vector<std::string>& patterns) {
-  std::vector<std::string> paths;
-  for (const std::string& pattern : patterns) {
-    ::glob_t g{};
-    if (::glob(pattern.c_str(), GLOB_NOCHECK, nullptr, &g) == 0) {
-      for (std::size_t i = 0; i < g.gl_pathc; ++i) {
-        paths.emplace_back(g.gl_pathv[i]);
-      }
-    } else {
-      paths.push_back(pattern);
-    }
-    ::globfree(&g);
-  }
-  return paths;
-}
-
-/// Loads one or more traces, merging multiple files (one per worker
-/// process) via merge_traces.  Unreadable files are skipped with a warning
-/// and malformed lines counted per file; exit code 3 when NO file is
-/// readable or, with `need_spans` (summarize/flame/chrome), when none
-/// yields a usable span (distinct from 2 so scripts can tell "nothing was
-/// recorded" apart from usage mistakes).
-std::optional<TraceFile> load_traces(const std::vector<std::string>& patterns,
-                                     int& rc, bool need_spans = true) {
-  const std::vector<std::string> paths = expand_globs(patterns);
-  std::vector<TraceFile> files;
-  for (const std::string& path : paths) {
-    TraceFile trace;
-    try {
-      trace = read_trace_file(path);
-    } catch (const IoError&) {
-      std::fprintf(stderr,
-                   "obsctl: no trace at %s — was tracing enabled? "
-                   "(STOCDR_TRACE_FILE / STOCDR_TRACE_RING)\n",
-                   path.c_str());
-      continue;
-    }
-    if (trace.skipped_lines != 0) {
-      std::fprintf(stderr, "obsctl: %s: skipped %zu malformed line(s) of %zu\n",
-                   path.c_str(), trace.skipped_lines, trace.total_lines);
-    }
-    files.push_back(std::move(trace));
-  }
-  if (files.empty()) {
-    rc = 3;
+/// Loads one trace.  A missing file is "no data" (exit 3) with a hint,
+/// malformed lines are counted on stderr, and with `need_spans`
+/// (summarize/flame/chrome) a trace without a usable span is exit 3 too —
+/// distinct from 2 so scripts can tell "nothing was recorded" apart from
+/// usage mistakes.
+std::optional<TraceFile> load_trace(const std::string& path, int& rc,
+                                    bool need_spans = true) {
+  rc = 3;
+  TraceFile trace;
+  try {
+    trace = read_trace_file(path);
+  } catch (const IoError&) {
+    std::fprintf(stderr,
+                 "obsctl: no trace at %s — was tracing enabled? "
+                 "(STOCDR_TRACE_FILE / STOCDR_TRACE_RING)\n",
+                 path.c_str());
     return std::nullopt;
   }
-  TraceFile merged = files.size() == 1 ? std::move(files.front())
-                                       : merge_traces(std::move(files));
-  if (std::optional<std::string> reason = empty_trace_reason(merged);
+  if (trace.skipped_lines != 0) {
+    std::fprintf(stderr, "obsctl: %s: skipped %zu malformed line(s) of %zu\n",
+                 path.c_str(), trace.skipped_lines, trace.total_lines);
+  }
+  if (std::optional<std::string> reason = empty_trace_reason(trace);
       reason && need_spans) {
     std::fprintf(stderr, "obsctl: %s\n", reason->c_str());
-    rc = 3;
     return std::nullopt;
   }
   rc = 0;
-  return merged;
+  return trace;
 }
 
 std::optional<JsonValue> load_json_file(const std::string& path) {
@@ -203,9 +152,9 @@ std::optional<JsonValue> load_json_file(const std::string& path) {
   return doc;
 }
 
-int cmd_summarize(const std::vector<std::string>& trace_paths, bool as_json) {
+int cmd_summarize(const std::string& trace_path, bool as_json) {
   int rc = 0;
-  const std::optional<TraceFile> loaded = load_traces(trace_paths, rc);
+  const std::optional<TraceFile> loaded = load_trace(trace_path, rc);
   if (!loaded) return rc;
   const TraceFile& trace = *loaded;
   if (as_json) {
@@ -246,10 +195,10 @@ int cmd_summarize(const std::vector<std::string>& trace_paths, bool as_json) {
   return 0;
 }
 
-int cmd_export(const std::vector<std::string>& trace_paths,
-               const std::string& out_path, bool chrome) {
+int cmd_export(const std::string& trace_path, const std::string& out_path,
+               bool chrome) {
   int rc = 0;
-  const std::optional<TraceFile> trace = load_traces(trace_paths, rc);
+  const std::optional<TraceFile> trace = load_trace(trace_path, rc);
   if (!trace) return rc;
   return emit(
       chrome ? to_chrome_trace(*trace) : to_folded_stacks(trace->spans),
@@ -286,7 +235,11 @@ int cmd_bench_diff(int argc, char** argv) {
         std::fprintf(stderr, "obsctl: --min-seconds needs a value\n");
         return 2;
       }
-      options.min_seconds = std::strtod(argv[++i], nullptr);
+      options.min_seconds = parse_double(argv[++i], "--min-seconds");
+      if (options.min_seconds < 0.0) {
+        std::fprintf(stderr, "obsctl: --min-seconds must be >= 0\n");
+        return 2;
+      }
     } else if (arg == "--instr-threshold") {
       if (i + 1 >= argc ||
           !parse_threshold(argv[++i], options.instr_threshold)) {
@@ -533,7 +486,11 @@ int cmd_roofline(int argc, char** argv) {
         std::fprintf(stderr, "obsctl: --peak-gbps needs a value\n");
         return 2;
       }
-      peak_gbps = std::strtod(argv[++i], nullptr);
+      peak_gbps = parse_double(argv[++i], "--peak-gbps");
+      if (peak_gbps < 0.0) {
+        std::fprintf(stderr, "obsctl: --peak-gbps must be >= 0\n");
+        return 2;
+      }
     } else if (path.empty()) {
       path = arg;
     } else {
@@ -719,123 +676,11 @@ int cmd_watch(int argc, char** argv) {
   return 0;
 }
 
-/// Seconds since `path` was last modified; NaN when unknowable.
-double file_age_seconds(const std::string& path) {
-  struct ::stat st {};
-  if (::stat(path.c_str(), &st) != 0) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  return std::difftime(std::time(nullptr), st.st_mtime);
-}
-
-/// Aggregates N workers' OpenMetrics snapshots into one merged dashboard.
-/// Counters add, gauges take the last file's value, histograms merge their
-/// raw bucket state exactly (see Histogram::merge) — the merged quantile
-/// estimates equal what one histogram observing every worker's samples
-/// would report.  Incomplete or unreadable snapshots are reported per
-/// worker and excluded from the merge; exit 3 when none merged.
-int cmd_fleet(int argc, char** argv) {
-  std::vector<std::string> patterns;
-  double stale_seconds = 300.0;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--stale-seconds") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "obsctl: --stale-seconds needs a value\n");
-        return 2;
-      }
-      stale_seconds = std::strtod(argv[++i], nullptr);
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage(stderr);
-    } else {
-      patterns.push_back(arg);
-    }
-  }
-  if (patterns.empty()) return usage(stderr);
-
-  const std::vector<std::string> paths = expand_globs(patterns);
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
-  std::size_t workers = 0;
-  TextTable status({"worker", "pid", "heartbeat", "age", "status"});
-  for (const std::string& path : paths) {
-    const double age = file_age_seconds(path);
-    const std::string age_text =
-        std::isnan(age) ? "-" : format_duration(age < 0.0 ? 0.0 : age);
-    const std::optional<std::string> text = [&]() -> std::optional<std::string> {
-      std::ifstream in(path, std::ios::binary);
-      if (!in.good()) return std::nullopt;
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      return std::move(buffer).str();
-    }();
-    if (!text) {
-      status.add_row({path, "-", "-", age_text, "unreadable"});
-      continue;
-    }
-    const obs::OpenMetricsDocument doc = obs::parse_openmetrics(*text);
-    const double heartbeat = om_counter(doc, "stocdr_export_heartbeat");
-    const double pid = obs::openmetrics_value(doc, "stocdr_process_pid");
-    const auto num = [](double v) {
-      char buffer[64];
-      std::snprintf(buffer, sizeof buffer, "%.0f", v);
-      return std::string(buffer);
-    };
-    if (!doc.complete) {
-      status.add_row({path, std::isnan(pid) ? "-" : num(pid), num(heartbeat),
-                      age_text, "incomplete"});
-      continue;
-    }
-    registry.merge_snapshot(obs::openmetrics_to_samples(doc));
-    ++workers;
-    status.add_row({path, std::isnan(pid) ? "-" : num(pid), num(heartbeat),
-                    age_text,
-                    !std::isnan(age) && age > stale_seconds ? "STALE" : "ok"});
-  }
-  std::printf("%s", status.render().c_str());
-  std::printf("workers: %zu\n", workers);
-  if (workers == 0) {
-    std::fprintf(stderr,
-                 "obsctl: no complete OpenMetrics snapshot among %zu "
-                 "path(s)\n",
-                 paths.size());
-    return 3;
-  }
-
-  std::printf("\n");
-  TextTable merged({"metric", "kind", "value", "count", "mean", "p50", "p90",
-                    "p99", "min", "max"});
-  const auto num = [](double v) {
-    char buffer[64];
-    std::snprintf(buffer, sizeof buffer, "%.6g", v);
-    return std::string(buffer);
-  };
-  for (const obs::MetricSample& s : registry.snapshot()) {
-    switch (s.kind) {
-      case obs::MetricSample::Kind::kCounter:
-        merged.add_row({s.name, "counter", num(s.value), "-", "-", "-", "-",
-                        "-", "-", "-"});
-        break;
-      case obs::MetricSample::Kind::kGauge:
-        merged.add_row({s.name, "gauge", num(s.value), "-", "-", "-", "-",
-                        "-", "-", "-"});
-        break;
-      case obs::MetricSample::Kind::kHistogram:
-        merged.add_row({s.name, "histogram", "-", std::to_string(s.count),
-                        num(s.value), num(s.p50), num(s.p90), num(s.p99),
-                        num(s.min), num(s.max)});
-        break;
-    }
-  }
-  std::printf("%s", merged.render().c_str());
-  return 0;
-}
-
-/// Pretty-prints the event records of one or more traces, merged and
-/// ordered by wall time.  Exit 1 when any displayed record has alarm
-/// severity — the CI shape for "the sweep finished but a health monitor
-/// fired".
+/// Pretty-prints the event records of one trace, ordered by wall time.
+/// Exit 1 when any displayed record has alarm severity — the CI shape for
+/// "the sweep finished but a health monitor fired".
 int cmd_events(int argc, char** argv) {
-  std::vector<std::string> paths;
+  std::string path;
   std::string kind_filter;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -845,17 +690,17 @@ int cmd_events(int argc, char** argv) {
         return 2;
       }
       kind_filter = argv[++i];
-    } else if (!arg.empty() && arg[0] == '-') {
+    } else if ((!arg.empty() && arg[0] == '-') || !path.empty()) {
       return usage(stderr);
     } else {
-      paths.push_back(arg);
+      path = arg;
     }
   }
-  if (paths.empty()) return usage(stderr);
+  if (path.empty()) return usage(stderr);
 
   int rc = 0;
   const std::optional<TraceFile> trace =
-      load_traces(paths, rc, /*need_spans=*/false);
+      load_trace(path, rc, /*need_spans=*/false);
   if (!trace) return rc;
   std::vector<const TraceEvent*> rows;
   for (const TraceEvent& event : trace->events) {
@@ -864,10 +709,10 @@ int cmd_events(int argc, char** argv) {
     }
   }
   if (rows.empty()) {
-    std::fprintf(stderr, "obsctl: no%s event records in %zu trace file(s)\n",
+    std::fprintf(stderr, "obsctl: no%s event records in %s\n",
                  kind_filter.empty() ? ""
                                      : (" \"" + kind_filter + "\"").c_str(),
-                 paths.size());
+                 path.c_str());
     return 3;
   }
   std::stable_sort(rows.begin(), rows.end(),
@@ -1059,7 +904,6 @@ int run(int argc, char** argv) {
   if (command == "bench-diff") return cmd_bench_diff(argc - 2, argv + 2);
   if (command == "roofline") return cmd_roofline(argc - 2, argv + 2);
   if (command == "watch") return cmd_watch(argc - 2, argv + 2);
-  if (command == "fleet") return cmd_fleet(argc - 2, argv + 2);
   if (command == "events") return cmd_events(argc - 2, argv + 2);
   if (command == "health" || command == "perf" || command == "mem" ||
       command == "journal" || command == "checkpoint") {
@@ -1076,7 +920,7 @@ int run(int argc, char** argv) {
     return usage(stderr);
   }
   if (argc < 3) return usage(stderr);
-  std::vector<std::string> trace_paths;
+  std::string trace_path;
   std::string out_path;
   bool as_json = false;
   for (int i = 2; i < argc; ++i) {
@@ -1086,15 +930,15 @@ int run(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--json") == 0 &&
                command == "summarize") {
       as_json = true;
-    } else if (argv[i][0] == '-') {
+    } else if (argv[i][0] == '-' || !trace_path.empty()) {
       return usage(stderr);
     } else {
-      trace_paths.emplace_back(argv[i]);
+      trace_path = argv[i];
     }
   }
-  if (trace_paths.empty()) return usage(stderr);
-  if (command == "summarize") return cmd_summarize(trace_paths, as_json);
-  return cmd_export(trace_paths, out_path, command == "chrome");
+  if (trace_path.empty()) return usage(stderr);
+  if (command == "summarize") return cmd_summarize(trace_path, as_json);
+  return cmd_export(trace_path, out_path, command == "chrome");
 }
 
 }  // namespace
